@@ -30,9 +30,13 @@ pub struct SolverConfig {
     /// per-group cardinality caps out of the simplex basis; disable
     /// only to measure that design choice.
     pub fold_singletons: bool,
-    /// Simplex ablation: amortize one dual vector across consecutive
-    /// profitable bound flips. Disable only to measure that design
-    /// choice.
+    /// Simplex ablation: serve consecutive bound flips from one pricing
+    /// pass, so the simplex prices per dual vector rather than per move.
+    /// In phase 2 a flip never changes the duals; in phase 1 it changes
+    /// them only when a basic variable crosses a bound tolerance, which
+    /// is when the pass ends. Either way the pivot path is the same as
+    /// with a fresh scan after every move. `false` prices again after
+    /// every flip; disable only to measure that design choice.
     pub flip_batching: bool,
 }
 

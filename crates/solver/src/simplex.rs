@@ -13,17 +13,38 @@
 //!   pivots;
 //! * composite phase-1 (minimize total bound violation of basic
 //!   variables) with breakpoint-limited ratio steps;
-//! * Dantzig pricing with *bound-flip batching* — consecutive profitable
-//!   bound flips reuse one dual vector, which matters when an optimum
-//!   rests many variables on their bounds — and a Bland-rule fallback
-//!   when the objective stalls (anti-cycling);
+//! * Dantzig pricing **per dual vector, not per move**. A *move* is a
+//!   pivot or a bound flip. A pivot changes the basis and so the duals
+//!   `y`; a bound flip changes neither. One pricing pass ranks the best
+//!   eight eligible candidates into a buffer and returns the Dantzig
+//!   pick (highest score, lowest index on ties). When that pick flips
+//!   instead of pivoting, the next move is the best remaining candidate
+//!   of the same pass: from the ranked eight, then — for a run of more
+//!   flips, as in the phase 1 of a large cardinality query — from a
+//!   max-heap that one more scan against the same duals fills. This is
+//!   exactly the candidate a fresh scan would pick, so the pivot path is
+//!   the one a re-scan after every move would take, at the price of one
+//!   scan per dual vector (two for a long run of flips) instead of one
+//!   per move;
+//! * phase 1 batches flips too. Its costs (−1, 0 or +1 per basic
+//!   variable) follow each basic variable's feasibility class, so a flip
+//!   keeps them, and `y`, valid unless some basic variable crossed a
+//!   bound tolerance. An O(m) check after each phase-1 flip decides
+//!   whether to keep serving the pass or to price again;
+//! * a Bland-rule fallback when the objective stalls (anti-cycling).
+//!   Under Bland's rule a pass walks the candidates in index order. The
+//!   stall counter advances once per phase-1 move and once per phase-2
+//!   pivot (or run of flips), so Bland's rule switches on at the same
+//!   move whether or not flips are batched;
 //! * every solve ends with a full refactorization + primal recompute, so
 //!   reported solutions are numerically fresh.
 
 // Dense numeric kernels: indexed loops mirror the textbook algebra and
 // often touch several parallel arrays at once.
 #![allow(clippy::needless_range_loop)]
-#![allow(clippy::while_let_loop)]
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::presolve::{StandardForm, VarBounds};
 use crate::EPS;
@@ -69,7 +90,8 @@ pub struct LpOptions {
     pub max_iterations: u64,
     /// Pivots between full basis refactorizations.
     pub refactor_interval: u32,
-    /// Amortize one dual vector across consecutive bound flips
+    /// Serve consecutive bound flips from one pricing pass, in phase 1
+    /// as well as phase 2. `false` prices again after every flip
     /// (ablation switch; see [`crate::SolverConfig::flip_batching`]).
     pub flip_batching: bool,
 }
@@ -98,6 +120,29 @@ enum Status {
 /// Bland's anti-cycling rule.
 const STALL_LIMIT: u32 = 300;
 
+/// Candidates a pass ranks as it scans. Most runs of flips are short —
+/// one flip per pass on the bulk DIRECT models, about two on Galaxy
+/// DIRECT Q1 — and are served from these alone.
+const PASS_TOP: usize = 8;
+
+/// The entering candidates of one pricing pass, all priced against one
+/// dual vector. Owned by [`Simplex`] and reused across passes.
+#[derive(Default)]
+struct Pass {
+    /// The pass's best [`PASS_TOP`] candidates with their reduced costs,
+    /// in Dantzig order: highest `|d_j|`, then lowest index.
+    top: Vec<(u32, f64)>,
+    /// How many picks the pass has served.
+    served: usize,
+    /// The rest of the pass in Dantzig order — score bits (monotone for
+    /// positive scores), then lowest index — with the direction `+1` as
+    /// `true`. Filled by a second scan against the same duals once a run
+    /// of flips outlasts `top`.
+    order: BinaryHeap<(u64, Reverse<u32>, bool)>,
+    /// Under Bland's rule: the next index to price.
+    cursor: usize,
+}
+
 struct Simplex<'a> {
     form: &'a StandardForm,
     /// Bounds over all `n + m` variables (structural then logical).
@@ -119,8 +164,12 @@ struct Simplex<'a> {
     iterations: u64,
     pivots_since_refactor: u32,
     stall: u32,
+    /// Objective (phase 2) or total violation (phase 1) at the last
+    /// stall check.
+    last_obj: f64,
     refactor_interval: u32,
     flip_batching: bool,
+    pass: Pass,
 }
 
 impl<'a> Simplex<'a> {
@@ -180,8 +229,10 @@ impl<'a> Simplex<'a> {
             iterations: 0,
             pivots_since_refactor: 0,
             stall: 0,
+            last_obj: f64::INFINITY,
             refactor_interval: opts.refactor_interval.max(1),
             flip_batching: opts.flip_batching,
+            pass: Pass::default(),
         };
         s.recompute_xb();
         s
@@ -297,23 +348,47 @@ impl<'a> Simplex<'a> {
         EPS * 1.0_f64.max(l.max(u))
     }
 
+    /// Phase-1 cost of basic slot `slot` — −1 below its lower bound, +1
+    /// above its upper bound, 0 within tolerance — and its violation.
+    #[inline]
+    fn slot_violation(&self, slot: usize) -> (f64, f64) {
+        let var = self.basis[slot];
+        let x = self.xb[slot];
+        let tol = self.ftol(var);
+        if x < self.lb[var] - tol {
+            (-1.0, self.lb[var] - x)
+        } else if x > self.ub[var] + tol {
+            (1.0, x - self.ub[var])
+        } else {
+            (0.0, 0.0)
+        }
+    }
+
     /// Phase-1 costs: ±1 on out-of-bounds basic variables. Returns the
     /// total violation (0 ⇒ primal feasible).
     fn infeasibility(&self) -> (f64, Vec<f64>) {
         let mut c = vec![0.0; self.m];
         let mut total = 0.0;
-        for (slot, &var) in self.basis.iter().enumerate() {
-            let x = self.xb[slot];
-            let tol = self.ftol(var);
-            if x < self.lb[var] - tol {
-                c[slot] = -1.0;
-                total += self.lb[var] - x;
-            } else if x > self.ub[var] + tol {
-                c[slot] = 1.0;
-                total += x - self.ub[var];
-            }
+        for (slot, cost) in c.iter_mut().enumerate() {
+            let (k, v) = self.slot_violation(slot);
+            *cost = k;
+            total += v;
         }
         (total, c)
+    }
+
+    /// After a phase-1 flip: the total violation, and whether every
+    /// basic variable kept the class `costs` records, which is when the
+    /// phase-1 costs and the duals priced from them still hold. O(m).
+    fn phase1_recheck(&self, costs: &[f64]) -> (f64, bool) {
+        let mut total = 0.0;
+        let mut same = true;
+        for (slot, &cost) in costs.iter().enumerate() {
+            let (k, v) = self.slot_violation(slot);
+            same &= k == cost;
+            total += v;
+        }
+        (total, same)
     }
 
     /// Duals `y = c_B B⁻¹` for an arbitrary basic-cost vector.
@@ -354,39 +429,100 @@ impl<'a> Simplex<'a> {
         w
     }
 
-    /// Entering-candidate scan. Returns `(j, dir)` with `dir = +1`
-    /// (increase from lower / free) or `−1` (decrease from upper / free).
-    fn price(&self, y: &[f64], phase2: bool, bland: bool) -> Option<(usize, f64)> {
+    /// Reduced cost of nonbasic `j` when `j` may enter: decreasing the
+    /// objective by increasing from lower / free (`d < 0`) or decreasing
+    /// from upper / free (`d > 0`).
+    #[inline(always)]
+    fn eligible(&self, j: usize, y: &[f64], phase2: bool) -> Option<f64> {
         let tol = EPS * 10.0;
-        let mut best: Option<(usize, f64, f64)> = None; // (j, score, dir)
-        for j in 0..self.n_total {
-            let (can_up, can_down) = match self.status[j] {
-                Status::Basic(_) => continue,
-                Status::AtLower => (true, false),
-                Status::AtUpper => (false, true),
-                Status::Free => (true, true),
-            };
-            // Fixed variables can never move.
-            if self.ub[j] - self.lb[j] < EPS && self.lb[j].is_finite() {
-                continue;
-            }
-            let d = self.reduced_cost(j, y, phase2);
-            let (score, dir) = if can_up && d < -tol {
-                (-d, 1.0)
-            } else if can_down && d > tol {
-                (d, -1.0)
-            } else {
-                continue;
-            };
-            if bland {
-                // Bland's rule: first (smallest-index) eligible variable.
-                return Some((j, dir));
-            }
-            if best.is_none_or(|(_, s, _)| score > s) {
-                best = Some((j, score, dir));
+        let (can_up, can_down) = match self.status[j] {
+            Status::Basic(_) => return None,
+            Status::AtLower => (true, false),
+            Status::AtUpper => (false, true),
+            Status::Free => (true, true),
+        };
+        // Fixed variables can never move.
+        if self.ub[j] - self.lb[j] < EPS && self.lb[j].is_finite() {
+            return None;
+        }
+        let d = self.reduced_cost(j, y, phase2);
+        ((can_up && d < -tol) || (can_down && d > tol)).then_some(d)
+    }
+
+    /// One pricing pass against duals `y`. Returns `(j, dir)` with
+    /// `dir = +1` (increase from lower / free) or `−1` (decrease from
+    /// upper / free): the Dantzig pick (highest `|d_j|`, lowest index on
+    /// ties), or the first eligible index under Bland's rule.
+    /// [`Simplex::next_candidate`] serves the rest of the pass.
+    fn price(&mut self, y: &[f64], phase2: bool, bland: bool) -> Option<(usize, f64)> {
+        let pass = &mut self.pass;
+        pass.top.clear();
+        pass.served = 0;
+        pass.order.clear();
+        pass.cursor = 0;
+        if !bland {
+            // The score a candidate must beat to enter `top` once it is
+            // full; indices rise, so a tie ranks after those it ties.
+            let mut bar = f64::NEG_INFINITY;
+            for j in 0..self.n_total {
+                let Some(d) = self.eligible(j, y, phase2) else {
+                    continue;
+                };
+                let score = d.abs();
+                if score > bar {
+                    let top = &mut self.pass.top;
+                    let at = top.partition_point(|&(_, e)| e.abs() >= score);
+                    top.insert(at, (j as u32, d));
+                    if top.len() > PASS_TOP {
+                        top.pop();
+                    }
+                    if top.len() == PASS_TOP {
+                        bar = top[PASS_TOP - 1].1.abs();
+                    }
+                }
             }
         }
-        best.map(|(j, _, dir)| (j, dir))
+        self.next_candidate(y, phase2, bland)
+    }
+
+    /// The next candidate of the current pass: its first pick, then one
+    /// after each flip. A flip moves only that variable, to the bound
+    /// where it is no longer eligible, so this is the pick a fresh pass
+    /// would make.
+    fn next_candidate(&mut self, y: &[f64], phase2: bool, bland: bool) -> Option<(usize, f64)> {
+        if bland {
+            // Every index below the cursor was ineligible and still is.
+            while self.pass.cursor < self.n_total {
+                let j = self.pass.cursor;
+                self.pass.cursor += 1;
+                if let Some(d) = self.eligible(j, y, phase2) {
+                    return Some((j, direction(d)));
+                }
+            }
+            return None;
+        }
+        self.pass.served += 1;
+        if let Some(&(j, d)) = self.pass.top.get(self.pass.served - 1) {
+            return Some((j as usize, direction(d)));
+        }
+        if self.pass.top.len() < PASS_TOP {
+            // `top` held every eligible candidate.
+            return None;
+        }
+        if self.pass.served == PASS_TOP + 1 {
+            // Every candidate in `top` has been flipped and is no longer
+            // eligible, so this scan finds exactly the rest of the pass.
+            let mut order = std::mem::take(&mut self.pass.order);
+            order.extend((0..self.n_total).filter_map(|j| {
+                let d = self.eligible(j, y, phase2)?;
+                Some((d.abs().to_bits(), Reverse(j as u32), d < 0.0))
+            }));
+            self.pass.order = order;
+        }
+        self.pass
+            .order
+            .pop()
+            .map(|(_, Reverse(j), up)| (j as usize, if up { 1.0 } else { -1.0 }))
     }
 
     /// Ratio test for entering variable `q` moving in direction `dir`.
@@ -596,8 +732,18 @@ impl<'a> Simplex<'a> {
         x
     }
 
+    /// Stall bookkeeping for the Bland fallback, once per move (or per
+    /// run of phase-2 flips) on the post-move objective or violation.
+    fn record_progress(&mut self, obj: f64) {
+        if obj < self.last_obj - 1e-10 {
+            self.stall = 0;
+        } else {
+            self.stall += 1;
+        }
+        self.last_obj = obj;
+    }
+
     fn solve(&mut self, max_iterations: u64) -> LpStatus {
-        let mut last_obj = f64::INFINITY;
         loop {
             if self.iterations >= max_iterations {
                 return LpStatus::IterationLimit;
@@ -613,52 +759,7 @@ impl<'a> Simplex<'a> {
             };
             let y = self.duals(&cb);
 
-            // --- pricing (with flip batching: reuse `y` across flips) ---
-            let mut progressed = false;
-            loop {
-                let Some((q, dir)) = self.price(&y, phase2, bland) else {
-                    break;
-                };
-                let w = self.ftran(q);
-                let (t, blocker) = self.ratio_test(q, dir, &w, bland);
-                self.iterations += 1;
-                if t.is_infinite() {
-                    return if phase2 {
-                        LpStatus::Unbounded
-                    } else {
-                        LpStatus::Infeasible
-                    };
-                }
-                match blocker {
-                    None => {
-                        // Bound flip: basis (and duals) unchanged — keep
-                        // using the same y for the next candidate.
-                        self.apply_flip(q, dir, t, &w);
-                        progressed = true;
-                        if self.iterations >= max_iterations {
-                            return LpStatus::IterationLimit;
-                        }
-                        if !phase2 || !self.flip_batching {
-                            // Phase 1: violations may have changed sign
-                            // structure — recompute costs. Ablation:
-                            // without batching, re-price from scratch
-                            // after every flip.
-                            break;
-                        }
-                        continue;
-                    }
-                    Some((slot, leaves_upper)) => {
-                        if !self.apply_pivot(q, dir, t, &w, slot, leaves_upper) {
-                            // Singular basis after pivot: refactor failed.
-                            return LpStatus::IterationLimit;
-                        }
-                        progressed = true;
-                        break;
-                    }
-                }
-            }
-
-            if !progressed {
+            let Some(mut entering) = self.price(&y, phase2, bland) else {
                 // No entering candidate: optimal or (still) infeasible.
                 // Confirm with fresh numbers before declaring.
                 if self.pivots_since_refactor > 0 {
@@ -669,13 +770,12 @@ impl<'a> Simplex<'a> {
                 }
                 let (violation, _) = self.infeasibility();
                 if violation > 0.0 {
-                    return if phase2 {
+                    if phase2 {
                         // We were in phase 2 on stale numbers; loop again
                         // to run phase 1 on fresh ones.
                         continue;
-                    } else {
-                        LpStatus::Infeasible
-                    };
+                    }
+                    return LpStatus::Infeasible;
                 }
                 if !phase2 {
                     // Phase 1 finished; run phase 2.
@@ -687,21 +787,82 @@ impl<'a> Simplex<'a> {
                     x,
                     objective: self.form.model_objective(internal),
                 };
-            }
-
-            // Stall detection for Bland fallback.
-            let obj = if phase2 {
-                self.current_objective()
-            } else {
-                self.infeasibility().0
             };
-            if obj < last_obj - 1e-10 {
-                self.stall = 0;
-            } else {
-                self.stall += 1;
+
+            // Moves priced against this `y`: any number of bound flips,
+            // then a pivot or a reason to price again.
+            loop {
+                let (q, dir) = entering;
+                let w = self.ftran(q);
+                let (t, blocker) = self.ratio_test(q, dir, &w, bland);
+                self.iterations += 1;
+                if t.is_infinite() {
+                    return if phase2 {
+                        LpStatus::Unbounded
+                    } else {
+                        LpStatus::Infeasible
+                    };
+                }
+                if let Some((slot, leaves_upper)) = blocker {
+                    if !self.apply_pivot(q, dir, t, &w, slot, leaves_upper) {
+                        // Singular basis after pivot: refactor failed.
+                        return LpStatus::IterationLimit;
+                    }
+                    let obj = if phase2 {
+                        self.current_objective()
+                    } else {
+                        self.infeasibility().0
+                    };
+                    self.record_progress(obj);
+                    break;
+                }
+                // Bound flip: basis and `y` unchanged.
+                self.apply_flip(q, dir, t, &w);
+                if self.iterations >= max_iterations {
+                    return LpStatus::IterationLimit;
+                }
+                let next = if phase2 {
+                    // A run of phase-2 flips, with the pivot that may end
+                    // it, is one stall step.
+                    let next = if self.flip_batching {
+                        self.next_candidate(&y, true, bland)
+                    } else {
+                        None
+                    };
+                    if next.is_none() {
+                        let obj = self.current_objective();
+                        self.record_progress(obj);
+                    }
+                    next
+                } else {
+                    // The phase-1 costs follow the basic variables'
+                    // feasibility classes; price again once one changes,
+                    // or once the stall counter toggles Bland's rule.
+                    let (violation, same_costs) = self.phase1_recheck(&cb);
+                    self.record_progress(violation);
+                    if self.flip_batching && same_costs && (self.stall >= STALL_LIMIT) == bland {
+                        self.next_candidate(&y, false, bland)
+                    } else {
+                        None
+                    }
+                };
+                match next {
+                    Some(e) => entering = e,
+                    None => break,
+                }
             }
-            last_obj = obj;
         }
+    }
+}
+
+/// Entering direction for an eligible reduced cost: `+1` (increase)
+/// when `d < 0`, `−1` (decrease) when `d > 0`.
+#[inline]
+fn direction(d: f64) -> f64 {
+    if d < 0.0 {
+        1.0
+    } else {
+        -1.0
     }
 }
 
@@ -1020,5 +1181,106 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Solve `model` with and without flip batching; both runs must
+    /// agree on the status and the iteration count.
+    fn solve_both_ways(model: &Model) -> LpResult {
+        let Presolved::Ready(form, bounds) = presolve(model) else {
+            panic!("presolve proved the model infeasible");
+        };
+        let run = |flip_batching| {
+            let opts = LpOptions {
+                max_iterations: 100_000,
+                flip_batching,
+                ..LpOptions::default()
+            };
+            solve_lp(&form, &bounds, &opts)
+        };
+        let (batched, unbatched) = (run(true), run(false));
+        assert_eq!(batched.status, unbatched.status);
+        assert_eq!(batched.iterations, unbatched.iterations);
+        batched
+    }
+
+    #[test]
+    fn phase1_flip_into_tolerance_prices_again() {
+        // min −x1 − x2 + x3 s.t. x1 + x2 + x3 ≥ 2 + 5e-8, x ∈ [0, 1].
+        // Phase 1 flips x1 (the row stays below its bound), then x2,
+        // which leaves the row 5e-8 short: within tolerance, so the
+        // phase-1 costs change and the solver must price again — now in
+        // phase 2, where nothing is profitable. Serving the stale pass
+        // would flip x3 as well and then flip it back: 4 moves, not 2.
+        let mut m = Model::new();
+        let x1 = m.add_var(0.0, 1.0, -1.0);
+        let x2 = m.add_var(0.0, 1.0, -1.0);
+        let x3 = m.add_var(0.0, 1.0, 1.0);
+        m.add_ge(vec![(x1, 1.0), (x2, 1.0), (x3, 1.0)], 2.0 + 5e-8);
+        m.set_sense(Sense::Minimize);
+        let r = solve_both_ways(&m);
+        assert_eq!(r.iterations, 2);
+        assert_eq!(assert_optimal(&r.status, -2.0), vec![1.0, 1.0, 0.0]);
+    }
+
+    /// The variables at their upper bound after `moves` moves.
+    fn flipped_after(
+        form: &StandardForm,
+        bounds: &VarBounds,
+        batching: bool,
+        moves: u64,
+    ) -> Vec<usize> {
+        let opts = LpOptions {
+            flip_batching: batching,
+            ..LpOptions::default()
+        };
+        let mut s = Simplex::new(form, bounds, &opts);
+        assert_eq!(s.solve(moves), LpStatus::IterationLimit);
+        (0..form.n)
+            .filter(|&j| s.status[j] == Status::AtUpper)
+            .collect()
+    }
+
+    #[test]
+    fn stall_limit_mid_batch_switches_to_bland_on_the_same_move() {
+        // One row Σ a_j x_j ≥ 1 with x_j ∈ [0, 1e-6] and a_j rising with
+        // j. Every move is a phase-1 flip that cuts the violation by
+        // a_j · 1e-6 ≈ 1e-11, below the stall threshold, and no flip
+        // changes the row's class, so one pass could serve them all.
+        // Dantzig flips the highest index first; the first move sets the
+        // baseline and the next STALL_LIMIT moves stall, after which
+        // Bland's rule must take over and flip index 0.
+        let n = 400;
+        let form = StandardForm {
+            n,
+            m: 1,
+            cols: (0..n)
+                .map(|j| vec![(0, 1e-5 * (1.0 + j as f64 / 1000.0))])
+                .collect(),
+            obj_min: vec![0.0; n],
+            row_lo: vec![1.0],
+            row_hi: vec![f64::INFINITY],
+            obj_factor: 1.0,
+            integer: vec![false; n],
+        };
+        let bounds = VarBounds {
+            lb: vec![0.0; n],
+            ub: vec![1e-6; n],
+        };
+        let switch = u64::from(STALL_LIMIT) + 2;
+        for moves in switch - 2..=switch + 1 {
+            assert_eq!(
+                flipped_after(&form, &bounds, true, moves),
+                flipped_after(&form, &bounds, false, moves),
+                "after {moves} moves"
+            );
+        }
+        let dantzig_only = flipped_after(&form, &bounds, true, switch - 1);
+        assert_eq!(
+            dantzig_only,
+            (n + 1 - switch as usize..n).collect::<Vec<_>>()
+        );
+        let with_bland = flipped_after(&form, &bounds, true, switch);
+        assert_eq!(with_bland[0], 0, "move {switch} follows Bland's rule");
+        assert_eq!(with_bland.len(), switch as usize);
     }
 }

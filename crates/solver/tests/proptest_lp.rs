@@ -1,7 +1,12 @@
 //! Property-based tests for the solver: random LPs and MILPs checked
 //! against first principles (feasibility of reported solutions, weak
-//! duality via the relaxation, agreement with exhaustive search).
+//! duality via the relaxation, agreement with exhaustive search), and
+//! random LPs checked move for move against the re-scan pricing loop.
 
+mod rescan;
+
+use paq_solver::presolve::{presolve, Presolved};
+use paq_solver::simplex::{solve_lp, LpOptions, LpStatus};
 use paq_solver::{MilpSolver, Model, Sense, SolveOutcome, SolverConfig, VarId};
 use proptest::prelude::*;
 
@@ -40,8 +45,133 @@ fn build_model(
     m
 }
 
+/// xorshift64*: the seeded LPs below need only a cheap, stable stream.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// A small integer in `lo..=hi`; small integers make pricing ties,
+    /// which the lowest-index rule must break the same way.
+    fn int(&mut self, lo: i64, hi: i64) -> f64 {
+        (lo + self.below((hi - lo + 1) as u64) as i64) as f64
+    }
+}
+
+/// A seeded LP with the shapes the pricing has to get right: mostly
+/// boxed variables (which flip), some free and some half-bounded ones,
+/// range and equality rows around a random interior point so that the
+/// all-at-lower start violates several rows at once (multi-row phase
+/// 1), and now and then a row placed at random, which may make the LP
+/// infeasible.
+fn seeded_lp(seed: u64) -> Model {
+    let mut r = Stream(seed | 1);
+    let n = 3 + r.below(48) as usize;
+    let rows = 1 + r.below(5) as usize;
+    let mut m = Model::new();
+    let mut point = Vec::with_capacity(n);
+    let vars: Vec<VarId> = (0..n)
+        .map(|_| {
+            let c = r.int(-5, 5);
+            let (lb, ub) = match r.below(25) {
+                0 => (f64::NEG_INFINITY, f64::INFINITY),
+                1 => (r.int(-2, 0), f64::INFINITY),
+                _ => {
+                    let lb = r.int(-2, 1);
+                    (lb, lb + r.int(1, 3))
+                }
+            };
+            let lo = if lb.is_finite() { lb } else { -2.0 };
+            let hi = if ub.is_finite() { ub } else { lo + 3.0 };
+            point.push(lo + (hi - lo) * r.below(5) as f64 / 4.0);
+            m.add_var(lb, ub, c)
+        })
+        .collect();
+    for _ in 0..rows {
+        let mut terms = Vec::new();
+        let mut activity = 0.0;
+        for (j, &v) in vars.iter().enumerate() {
+            if r.below(10) < 6 {
+                let a = match r.int(-3, 2) {
+                    0.0 => 3.0,
+                    a => a,
+                };
+                terms.push((v, a));
+                activity += a * point[j];
+            }
+        }
+        if terms.is_empty() {
+            terms.push((vars[0], 1.0));
+            activity = point[0];
+        }
+        let (lo, hi) = match r.below(10) {
+            0 => (activity, activity),
+            1 => (r.int(-10, 20), f64::INFINITY),
+            2 => (f64::NEG_INFINITY, r.int(-20, 0)),
+            3 => (activity + 1.0, f64::INFINITY),
+            _ => (activity - r.int(0, 3), activity + r.int(0, 3)),
+        };
+        m.add_range(terms, lo, hi);
+    }
+    m.set_sense(if r.below(2) == 0 {
+        Sense::Maximize
+    } else {
+        Sense::Minimize
+    });
+    m
+}
+
+/// `LpStatus` with every float as its bits, so equality is bitwise.
+fn status_bits(status: &LpStatus) -> (u8, Vec<u64>) {
+    match status {
+        LpStatus::Optimal { x, objective } => (
+            0,
+            std::iter::once(objective)
+                .chain(x)
+                .map(|v| v.to_bits())
+                .collect(),
+        ),
+        LpStatus::Infeasible => (1, vec![]),
+        LpStatus::Unbounded => (2, vec![]),
+        LpStatus::IterationLimit => (3, vec![]),
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Pricing once per dual vector takes exactly the path of a full
+    /// re-scan after every move: same status, same solution bits, same
+    /// iteration count, with and without flip batching.
+    #[test]
+    fn one_pass_pricing_keeps_the_rescan_path(seed in 0u64..u64::MAX) {
+        let Presolved::Ready(form, bounds) = presolve(&seeded_lp(seed)) else {
+            return Ok(());
+        };
+        if form.m == 0 {
+            return Ok(());
+        }
+        for flip_batching in [true, false] {
+            let opts = LpOptions {
+                max_iterations: 100_000,
+                flip_batching,
+                ..LpOptions::default()
+            };
+            let got = solve_lp(&form, &bounds, &opts);
+            let (want, want_iterations) = rescan::solve(&form, &bounds, &opts);
+            prop_assert_eq!(status_bits(&got.status), status_bits(&want));
+            prop_assert_eq!(got.iterations, want_iterations);
+        }
+    }
 
     /// Any reported LP/MILP solution must actually satisfy the model,
     /// and the MILP optimum can never beat the LP relaxation.

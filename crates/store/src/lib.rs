@@ -157,6 +157,8 @@ pub struct Store {
     injector: Option<Arc<dyn FaultInjector>>,
     obs: Registry,
     poisoned: bool,
+    /// Whether the WAL may hold bytes no successful fsync has covered.
+    unsynced: bool,
     stats: StoreStats,
 }
 
@@ -201,6 +203,8 @@ impl Store {
             .map_err(|e| io_err(&wal_path, e))?;
         let bytes = fs::read(&wal_path).map_err(|e| io_err(&wal_path, e))?;
         let scan = wal::scan(&bytes)?;
+        // A WAL left by an earlier process may never have been synced.
+        let unsynced = !bytes.is_empty() && scan.dropped_bytes == 0;
         if bytes.is_empty() {
             wal_file
                 .write_all(wal::WAL_MAGIC)
@@ -251,6 +255,7 @@ impl Store {
             injector: config.injector,
             obs: config.obs,
             poisoned: false,
+            unsynced,
             stats: StoreStats {
                 last_snapshot_lsn: snapshot_lsn,
                 records_since_snapshot: replayed,
@@ -306,8 +311,12 @@ impl Store {
         });
         match result {
             Ok(()) => {
-                if matches!(self.sync, SyncPolicy::Always) {
-                    self.stats.wal_syncs += 1;
+                match self.sync {
+                    SyncPolicy::Always => {
+                        self.stats.wal_syncs += 1;
+                        self.unsynced = false;
+                    }
+                    SyncPolicy::Manual => self.unsynced = true,
                 }
                 self.stats.wal_records += 1;
                 self.stats.wal_bytes += frame.len() as u64;
@@ -325,16 +334,22 @@ impl Store {
     }
 
     /// Force buffered WAL appends to disk (meaningful under
-    /// [`SyncPolicy::Manual`]; a cheap no-op-equivalent otherwise).
+    /// [`SyncPolicy::Manual`]). When nothing was written since the last
+    /// successful fsync — every append under [`SyncPolicy::Always`] ends
+    /// in one — this performs and counts no fsync.
     pub fn sync(&mut self) -> StoreResult<()> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
+        }
+        if !self.unsynced {
+            return Ok(());
         }
         let sync_start = Instant::now();
         let synced = fault::gate(self.injector.as_ref(), FaultSite::WalSync)
             .and_then(|()| self.wal_file.sync_data());
         match synced {
             Ok(()) => {
+                self.unsynced = false;
                 self.stats.wal_syncs += 1;
                 self.obs.observe("store.wal.fsync", sync_start.elapsed());
                 Ok(())
@@ -374,6 +389,7 @@ impl Store {
             self.stats.wal_errors += 1;
             return Err(io_err(&self.wal_path, e));
         }
+        self.unsynced = false;
         self.stats.snapshots_written += 1;
         self.stats.last_snapshot_lsn = state.last_version;
         self.stats.records_since_snapshot = 0;
@@ -589,21 +605,99 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn drop_record(lsn: u64) -> WalRecord {
+        WalRecord {
+            lsn,
+            op: WalOp::DropTable { name: "x".into() },
+        }
+    }
+
+    fn open_with(tag: &str, sync: SyncPolicy) -> (PathBuf, Store) {
+        let dir = temp_dir(tag);
+        let mut config = StoreConfig::new(&dir);
+        config.sync = sync;
+        let (store, _) = Store::open(config).unwrap();
+        (dir, store)
+    }
+
     #[test]
     fn manual_sync_policy_counts_syncs() {
-        let dir = temp_dir("manual");
-        let mut config = StoreConfig::new(&dir);
-        config.sync = SyncPolicy::Manual;
-        let (mut store, _) = Store::open(config).unwrap();
-        store
-            .append(&WalRecord {
-                lsn: 1,
-                op: WalOp::DropTable { name: "x".into() },
-            })
-            .unwrap();
+        let (dir, mut store) = open_with("manual", SyncPolicy::Manual);
+        store.append(&drop_record(1)).unwrap();
         assert_eq!(store.stats().wal_syncs, 0);
         store.sync().unwrap();
         assert_eq!(store.stats().wal_syncs, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_record_append_then_sync_fsyncs_once() {
+        let (dir, mut store) = open_with("always-sync", SyncPolicy::Always);
+        store.append(&drop_record(1)).unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.stats().wal_syncs, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_with_nothing_written_fsyncs_nothing() {
+        let (dir, mut store) = open_with("clean-sync", SyncPolicy::Manual);
+        store.sync().unwrap();
+        store.append(&drop_record(1)).unwrap();
+        store.sync().unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.stats().wal_syncs, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_after_snapshot_truncation_still_fsyncs() {
+        let (dir, mut store) = open_with("snap-sync", SyncPolicy::Manual);
+        store.append(&drop_record(1)).unwrap();
+        store
+            .snapshot(&StoreState {
+                last_version: 1,
+                ..StoreState::default()
+            })
+            .unwrap();
+        // The snapshot left the truncated WAL synced.
+        store.sync().unwrap();
+        assert_eq!(store.stats().wal_syncs, 0);
+        store.append(&drop_record(2)).unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.stats().wal_syncs, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_on_a_reopened_wal_fsyncs_once() {
+        // The earlier process may have exited without syncing.
+        let (dir, mut store) = open_with("reopen-sync", SyncPolicy::Manual);
+        store.append(&drop_record(1)).unwrap();
+        drop(store);
+        let reopen = |sync| {
+            let mut config = StoreConfig::new(&dir);
+            config.sync = sync;
+            Store::open(config).unwrap().0
+        };
+        let mut store = reopen(SyncPolicy::Manual);
+        store.sync().unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.stats().wal_syncs, 1);
+        drop(store);
+        // An every-record append syncs the whole file, reopened bytes too.
+        let mut store = reopen(SyncPolicy::Always);
+        store.append(&drop_record(2)).unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.stats().wal_syncs, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn poisoned_store_refuses_sync_even_when_clean() {
+        let (dir, mut store) = open_with("poisoned-sync", SyncPolicy::Manual);
+        store.poisoned = true;
+        assert!(matches!(store.sync(), Err(StoreError::Poisoned)));
         fs::remove_dir_all(&dir).unwrap();
     }
 }
