@@ -30,8 +30,9 @@
 //!   round-trip — the observability contract, checked structurally on
 //!   every host;
 //! * the `serving` section is missing, the columnar `RegisterTable`
-//!   encoding failed to beat the row-major payload byte-for-byte, or
-//!   the shed probe produced no typed `Busy` (admission control
+//!   encoding of the Galaxy or the TPC-H table failed to beat the
+//!   store's snapshot image of the same table byte-for-byte, or the
+//!   shed probe produced no typed `Busy` (admission control
 //!   stopped shedding over-quota work) — the serving contract, checked
 //!   structurally on every host; the fairness gate — interactive p99
 //!   under weighted-fair admission must beat the same workload under
@@ -391,7 +392,7 @@ fn main() {
     }
 
     // --- serving: structure always, fairness timing unless 1 CPU ------
-    // Columnar-beats-row and typed-Busy shedding are deterministic
+    // Columnar-beats-image and typed-Busy shedding are deterministic
     // properties of the code, gated on every host. The fairness A/B is
     // an intra-run latency comparison like the obs overhead above, but
     // it additionally needs the interactive and bulk clients to really
@@ -400,21 +401,22 @@ fn main() {
     match fresh.get("serving") {
         None => failures.push("serving section missing from the fresh artifact".to_owned()),
         Some(serving) => {
-            let field = |key: &str| serving.get(key).and_then(Json::as_f64);
-            match (
-                field("columnar_register_bytes"),
-                field("row_register_bytes"),
-            ) {
-                (Some(columnar), Some(row)) => {
-                    if columnar >= row {
-                        failures.push(format!(
-                            "columnar RegisterTable ({columnar} bytes) did not beat the \
-                             row-major encoding ({row} bytes)"
-                        ));
+            for dataset in ["galaxy", "tpch"] {
+                let bytes = serving.get("register_bytes").and_then(|r| r.get(dataset));
+                let field = |key: &str| bytes.and_then(|b| b.get(key)).and_then(Json::as_f64);
+                match (field("columnar"), field("store_image")) {
+                    (Some(columnar), Some(image)) => {
+                        if columnar >= image {
+                            failures.push(format!(
+                                "{dataset} columnar RegisterTable ({columnar} bytes) did not \
+                                 beat the store image ({image} bytes)"
+                            ));
+                        }
                     }
+                    _ => failures.push(format!(
+                        "serving {dataset} columnar/image RegisterTable byte counts missing"
+                    )),
                 }
-                _ => failures
-                    .push("serving columnar/row RegisterTable byte counts missing".to_owned()),
             }
             if serving
                 .get("shed_probe")

@@ -72,11 +72,12 @@
 //! weighted-fair admission and once under the FIFO global-bound
 //! baseline — same server, same workload, only the dequeue discipline
 //! differs. A quota probe oversubmits a tight per-client quota to show
-//! shedding as typed `Busy` answers, and one `RegisterTable` body is
-//! encoded through both codecs to record the columnar-vs-row-major
-//! byte counts. All of it lands in the `serving` section; `bench_gate`
-//! checks the structure (columnar smaller, probe shed typed) on every
-//! host and fair-vs-FIFO interactive p99 on multi-core runners only.
+//! shedding as typed `Busy` answers, and a Galaxy and a TPC-H table are
+//! each encoded as a `RegisterTable` body and as the store's snapshot
+//! image to record the wire-vs-image byte counts. All of it lands in
+//! the `serving` section; `bench_gate` checks the structure (columnar
+//! smaller than the image, probe shed typed) on every host and
+//! fair-vs-FIFO interactive p99 on multi-core runners only.
 //!
 //! Knobs: `PAQ_REFINE_SCALE` (rows, default 12800),
 //! `PAQ_REFINE_THREADS` (parallel thread count, default 4),
@@ -91,7 +92,7 @@ use std::time::Duration;
 
 use paq_bench::bench_seed;
 use paq_core::SketchRefineReport;
-use paq_datagen::galaxy_table;
+use paq_datagen::{galaxy_table, tpch_table};
 use paq_db::{
     CacheOutcome, DbConfig, Durability, ObsConfig, PackageDb, Route, RouterVerdict, Strategy,
 };
@@ -627,7 +628,6 @@ fn measure_faults(plan_seed: u64) -> FaultsResult {
     // appends, and the solve.
     plan.on("bench.write", Trigger::FailEveryK(6));
     plan.on("bench.read", Trigger::FailEveryK(9));
-    plan.on("lossy.read", Trigger::FailNth(1));
 
     // The serve loop joins inside the scope, so the body must always
     // reach trigger_shutdown — even when an expect fires.
@@ -659,13 +659,17 @@ fn measure_faults(plan_seed: u64) -> FaultsResult {
             }
 
             // Lost ack: the append applies, the reply dies; the retry
-            // carries the same token and must be deduplicated.
+            // carries the same token and must be deduplicated. Armed
+            // after the handshake, so the first read it fails is the
+            // ack.
             const TOKEN: u64 = 0xFA_0175;
-            let mut lossy = Client::over(ChaosStream::new(
+            let mut lossy = Client::handshake(ChaosStream::new(
                 connector.connect().unwrap(),
                 &plan,
                 "lossy",
-            ));
+            ))
+            .expect("lossy handshake");
+            plan.on("lossy.read", Trigger::FailNth(1));
             let lost = lossy
                 .append_row_with_token("Chaos", appended_row(), Some(TOKEN))
                 .expect_err("the ack must be lost");
@@ -679,7 +683,7 @@ fn measure_faults(plan_seed: u64) -> FaultsResult {
                 assert!(Instant::now() < deadline, "lost-ack append never landed");
                 std::thread::sleep(Duration::from_millis(2));
             }
-            let mut probe = Client::over(connector.connect().unwrap());
+            let mut probe = Client::handshake(connector.connect().unwrap()).expect("handshake");
             probe
                 .append_row_with_token("Chaos", appended_row(), Some(TOKEN))
                 .expect("tokened retry is answered from ack memory");
@@ -924,9 +928,9 @@ struct LoadgenResult {
     fair: LoadgenMode,
     fifo: LoadgenMode,
     probe: ShedProbe,
-    columnar_rows: usize,
-    columnar_bytes: usize,
-    row_bytes: usize,
+    register_rows: usize,
+    /// `(dataset, columnar RegisterTable bytes, store image bytes)`.
+    register_bytes: Vec<(&'static str, usize, usize)>,
 }
 
 fn percentile(sorted: &[Duration], q: f64) -> Duration {
@@ -977,8 +981,8 @@ const LOADGEN_INTERACTIVE_QUERY: &str = "SELECT PACKAGE(R) AS P FROM Load R REPE
 /// discipline (`fair`).
 fn run_loadgen_mode(db: &PackageDb, fair: bool) -> LoadgenMode {
     use paq_server::{
-        pipe_listener, AdmissionConfig, Client, ClientError, HelloOptions, PipelinedClient,
-        RequestBuilder, Server, ServerConfig, ShedClass,
+        pipe_listener, AdmissionConfig, Client, ClientError, HelloOptions, RequestBuilder, Server,
+        ServerConfig, ShedClass,
     };
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1006,7 +1010,7 @@ fn run_loadgen_mode(db: &PackageDb, fair: bool) -> LoadgenMode {
         // The bulk tenant: one pipelined connection that replenishes
         // its backlog on every completion until told to stop.
         let bulk_thread = scope.spawn(move || {
-            let mut client = PipelinedClient::handshake_as(
+            let mut client = Client::handshake_as(
                 connector.connect().unwrap(),
                 HelloOptions {
                     class: ShedClass::Bulk,
@@ -1040,7 +1044,7 @@ fn run_loadgen_mode(db: &PackageDb, fair: bool) -> LoadgenMode {
         let interactive_threads: Vec<_> = (0..INTERACTIVE_CLIENTS)
             .map(|i| {
                 scope.spawn(move || {
-                    let mut client = PipelinedClient::handshake_as(
+                    let mut client = Client::handshake_as(
                         connector.connect().unwrap(),
                         HelloOptions {
                             class: ShedClass::Interactive,
@@ -1075,9 +1079,9 @@ fn run_loadgen_mode(db: &PackageDb, fair: bool) -> LoadgenMode {
         stop.store(true, Ordering::Release);
         let bulk_lat = bulk_thread.join().expect("bulk loadgen thread");
 
-        // All four pinned handler workers are free again — a legacy
+        // All four pinned handler workers are free again — a fresh
         // connection shuts the server down so the serve thread joins.
-        let mut admin = Client::over(connector.connect().unwrap());
+        let mut admin = Client::handshake(connector.connect().unwrap()).unwrap();
         admin.shutdown().unwrap();
         (interactive, bulk_lat, server.shed_requests())
     });
@@ -1106,8 +1110,8 @@ fn run_loadgen_mode(db: &PackageDb, fair: bool) -> LoadgenMode {
 /// typed `Busy` naming the shed class.
 fn run_shed_probe(db: &PackageDb) -> ShedProbe {
     use paq_server::{
-        pipe_listener, AdmissionConfig, Client, ClientError, HelloOptions, PipelinedClient,
-        RequestBuilder, Server, ServerConfig, ShedClass,
+        pipe_listener, AdmissionConfig, Client, ClientError, HelloOptions, RequestBuilder, Server,
+        ServerConfig, ShedClass,
     };
 
     const QUOTA: usize = 3;
@@ -1126,7 +1130,7 @@ fn run_shed_probe(db: &PackageDb) -> ShedProbe {
     let (connector, listener) = pipe_listener();
     let (completed, typed_busy, server_shed) = std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = PipelinedClient::handshake_as(
+        let mut client = Client::handshake_as(
             connector.connect().unwrap(),
             HelloOptions {
                 class: ShedClass::Bulk,
@@ -1164,7 +1168,7 @@ fn run_shed_probe(db: &PackageDb) -> ShedProbe {
         }
         // Free the single pinned handler worker before shutting down.
         drop(client);
-        let mut admin = Client::over(connector.connect().unwrap());
+        let mut admin = Client::handshake(connector.connect().unwrap()).unwrap();
         admin.shutdown().unwrap();
         (completed, typed_busy, server.shed_requests())
     });
@@ -1178,8 +1182,8 @@ fn run_shed_probe(db: &PackageDb) -> ShedProbe {
 }
 
 /// The serving loadgen family: fairness A/B under a saturating bulk
-/// backlog, the quota-shed probe, and the columnar-vs-row encoding of
-/// one `RegisterTable` body.
+/// backlog, the quota-shed probe, and the `RegisterTable` body of a
+/// Galaxy and a TPC-H table against their store images.
 fn measure_loadgen(seed: u64) -> LoadgenResult {
     use paq_server::{wire7, Request};
 
@@ -1196,16 +1200,27 @@ fn measure_loadgen(seed: u64) -> LoadgenResult {
     let fifo = run_loadgen_mode(&db, false);
     let probe = run_shed_probe(&db);
 
-    // Same table, both codecs: the legacy row-major payload vs the v7
-    // columnar chunks (typed columns, null bitmaps, per-chunk crc32).
-    let columnar_rows = 4096;
-    let request = Request::RegisterTable {
-        name: "Load".to_owned(),
-        table: galaxy_table(columnar_rows, seed ^ 0xC01),
-        token: None,
-    };
-    let row_bytes = request.encode().len();
-    let columnar_bytes = wire7::encode_request_v7(0, &request).len();
+    // Same table, both encodings: the wire's columnar chunks (typed
+    // columns, null bitmaps, per-chunk crc32) vs the snapshot image.
+    // Galaxy is dense; most TPC-H columns are mostly NULL.
+    let register_rows = 4096;
+    let register_bytes = [
+        ("galaxy", galaxy_table(register_rows, seed ^ 0xC01)),
+        ("tpch", tpch_table(register_rows, seed ^ 0xC01)),
+    ]
+    .into_iter()
+    .map(|(name, table)| {
+        let mut image = Vec::new();
+        paq_store::codec::encode_table(&mut image, &table);
+        let request = Request::RegisterTable {
+            name: name.to_owned(),
+            table,
+            token: None,
+        };
+        let columnar = wire7::encode_request_v7(0, &request).len();
+        (name, columnar, image.len())
+    })
+    .collect();
 
     LoadgenResult {
         workers: LOADGEN_WORKERS,
@@ -1215,9 +1230,8 @@ fn measure_loadgen(seed: u64) -> LoadgenResult {
         fair,
         fifo,
         probe,
-        columnar_rows,
-        columnar_bytes,
-        row_bytes,
+        register_rows,
+        register_bytes,
     }
 }
 
@@ -1355,8 +1369,8 @@ fn main() {
         let ms = |nanos: Option<u64>| nanos.expect("histogram is non-empty") as f64 / 1e6;
         (h.count, ms(h.p50()), ms(h.p90()), ms(h.p99()))
     };
-    let (qw_count, qw_p50, qw_p90, qw_p99) = hist_ms("server.queue_wait");
-    let (h_count, h_p50, h_p90, h_p99) = hist_ms("server.handle");
+    let (qw_count, qw_p50, qw_p90, qw_p99) = hist_ms(paq_obs::names::SERVER_QUEUE_WAIT);
+    let (h_count, h_p50, h_p90, h_p99) = hist_ms(paq_obs::names::SERVER_HANDLE);
     let exposition = paq_obs::prometheus::render(&latency.metrics);
     let prometheus_roundtrip_ok = paq_obs::prometheus::parse(&exposition)
         .map(|parsed| paq_obs::prometheus::render(&parsed) == exposition)
@@ -1535,18 +1549,21 @@ fn main() {
     }
     println!(
         "  shed probe: {} submitted into quota {} — {} completed, {} typed Busy \
-         ({} shed server-side); columnar RegisterTable {} bytes vs row-major {} \
-         ({:.1}% smaller, {} rows)",
+         ({} shed server-side)",
         serving.probe.submitted,
         serving.probe.quota,
         serving.probe.completed,
         serving.probe.typed_busy,
         serving.probe.server_shed,
-        serving.columnar_bytes,
-        serving.row_bytes,
-        (1.0 - serving.columnar_bytes as f64 / serving.row_bytes.max(1) as f64) * 100.0,
-        serving.columnar_rows,
     );
+    for &(name, columnar, image) in &serving.register_bytes {
+        println!(
+            "  {name} RegisterTable {columnar} bytes vs store image {image} \
+             ({:.1}% smaller, {} rows)",
+            (1.0 - columnar as f64 / image.max(1) as f64) * 100.0,
+            serving.register_rows,
+        );
+    }
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -1820,11 +1837,18 @@ fn main() {
         serving.probe.typed_busy,
         serving.probe.server_shed,
     );
+    let datasets: Vec<String> = serving
+        .register_bytes
+        .iter()
+        .map(|(name, columnar, image)| {
+            format!("\"{name}\": {{\"columnar\": {columnar}, \"store_image\": {image}}}")
+        })
+        .collect();
     let _ = writeln!(
         json,
-        "    \"columnar_rows\": {}, \"columnar_register_bytes\": {}, \
-         \"row_register_bytes\": {}",
-        serving.columnar_rows, serving.columnar_bytes, serving.row_bytes,
+        "    \"register_bytes\": {{\"rows\": {}, {}}}",
+        serving.register_rows,
+        datasets.join(", "),
     );
     json.push_str("  },\n");
     let _ = writeln!(json, "  \"total_seq_refine_ms\": {:.3},", total_seq * 1e3);
@@ -1873,13 +1897,13 @@ fn main() {
         faults.handler_panics,
         faults.converged,
     );
-    assert!(
-        serving.columnar_bytes < serving.row_bytes,
-        "the v7 columnar RegisterTable body must be smaller than the row-major \
-         one ({} vs {} bytes)",
-        serving.columnar_bytes,
-        serving.row_bytes,
-    );
+    for &(name, columnar, image) in &serving.register_bytes {
+        assert!(
+            columnar < image,
+            "the {name} columnar RegisterTable body must be smaller than its store \
+             image ({columnar} vs {image} bytes)",
+        );
+    }
     assert!(
         serving.probe.typed_busy >= 1 && serving.probe.completed >= 1,
         "the quota probe must both admit and shed ({} completed, {} typed Busy)",

@@ -312,16 +312,23 @@ fn main() {
                 num(probe, "server_shed"),
             );
         }
-        let columnar = num(serving, "columnar_register_bytes");
-        let row = num(serving, "row_register_bytes");
-        println!(
-            "columnar `RegisterTable` **{:.1} KiB** vs row-major **{:.1} KiB** \
-             ({:.1}% smaller, {} rows)",
-            columnar / 1024.0,
-            row / 1024.0,
-            (1.0 - columnar / row) * 100.0,
-            num(serving, "columnar_rows"),
-        );
+        if let Some(register) = serving.get("register_bytes") {
+            for dataset in ["galaxy", "tpch"] {
+                let Some(bytes) = register.get(dataset) else {
+                    continue;
+                };
+                let columnar = num(bytes, "columnar");
+                let image = num(bytes, "store_image");
+                println!(
+                    "{dataset} columnar `RegisterTable` **{:.1} KiB** vs store image \
+                     **{:.1} KiB** ({:.1}% smaller, {} rows)",
+                    columnar / 1024.0,
+                    image / 1024.0,
+                    (1.0 - columnar / image) * 100.0,
+                    num(register, "rows"),
+                );
+            }
+        }
         println!();
     }
 

@@ -1,6 +1,8 @@
 //! Chaos wrappers for byte streams and server acceptors.
 
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use paq_server::{Accepted, Acceptor, Connection};
@@ -22,14 +24,16 @@ use crate::plan::{FaultPlan, Injection};
 /// * A **Delay** sleeps before the operation proceeds, modelling a
 ///   stalling link (a slowloris peer, from the server's perspective).
 ///
-/// With an empty plan the wrapper is a passthrough.
+/// With an empty plan the wrapper is a passthrough. A stream split with
+/// [`Connection::try_clone_writer`] stays one connection: both handles
+/// consult the same sites and a sever through either kills both.
 #[derive(Debug)]
 pub struct ChaosStream<S> {
     inner: S,
     plan: FaultPlan,
     read_site: String,
     write_site: String,
-    dead: bool,
+    dead: Arc<AtomicBool>,
 }
 
 impl<S> ChaosStream<S> {
@@ -41,13 +45,13 @@ impl<S> ChaosStream<S> {
             plan: plan.clone(),
             read_site: format!("{label}.read"),
             write_site: format!("{label}.write"),
-            dead: false,
+            dead: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Whether an injected fault has severed this stream.
     pub fn is_severed(&self) -> bool {
-        self.dead
+        self.dead.load(Ordering::Acquire)
     }
 
     /// Access the wrapped stream.
@@ -65,7 +69,7 @@ impl<S> ChaosStream<S> {
     }
 
     fn sever(&mut self, site: &str, call: u64) -> io::Error {
-        self.dead = true;
+        self.dead.store(true, Ordering::Release);
         io::Error::new(
             io::ErrorKind::ConnectionReset,
             FaultPlan::error_for(site, call).to_string(),
@@ -75,7 +79,7 @@ impl<S> ChaosStream<S> {
 
 impl<S: Read> Read for ChaosStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.dead {
+        if self.is_severed() {
             return Err(Self::severed_error());
         }
         let verdict = self.plan.evaluate(&self.read_site);
@@ -96,7 +100,7 @@ impl<S: Read> Read for ChaosStream<S> {
 
 impl<S: Write> Write for ChaosStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.dead {
+        if self.is_severed() {
             return Err(Self::severed_error());
         }
         let verdict = self.plan.evaluate(&self.write_site);
@@ -122,7 +126,7 @@ impl<S: Write> Write for ChaosStream<S> {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        if self.dead {
+        if self.is_severed() {
             return Err(Self::severed_error());
         }
         self.inner.flush()
@@ -135,14 +139,13 @@ impl<S: Connection> Connection for ChaosStream<S> {
     }
 
     fn try_clone_writer(&self) -> io::Result<Self> {
-        // A clone would dodge injection bookkeeping (two handles, one
-        // plan cursor), so chaos streams refuse to split; the server
-        // then refuses the v7 handshake and the legacy protocol — the
-        // one the chaos suite exercises — is unaffected.
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "chaos streams cannot be split into reader and writer",
-        ))
+        Ok(ChaosStream {
+            inner: self.inner.try_clone_writer()?,
+            plan: self.plan.clone(),
+            read_site: self.read_site.clone(),
+            write_site: self.write_site.clone(),
+            dead: Arc::clone(&self.dead),
+        })
     }
 }
 
@@ -244,5 +247,23 @@ mod tests {
         let err = s.read(&mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
         assert!(s.is_severed());
+    }
+
+    #[test]
+    fn split_handles_share_sites_and_sever() {
+        let plan = FaultPlan::new(0);
+        plan.on("t.write", Trigger::FailNth(2));
+        let (end, _peer) = paq_server::duplex();
+        let mut reader = ChaosStream::new(end, &plan, "t");
+        let mut writer = reader.try_clone_writer().unwrap();
+        writer.write_all(b"ok").unwrap();
+        // Call #2 at the shared site fails, whichever handle makes it.
+        let err = reader.write(b"boom").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+        assert!(writer.is_severed(), "a sever through one handle kills both");
+        assert_eq!(
+            writer.write(b"x").unwrap_err().kind(),
+            io::ErrorKind::BrokenPipe
+        );
     }
 }

@@ -27,10 +27,11 @@ use std::{env, fs};
 use paq_chaos::{sites, ChaosStream, FaultPlan, Trigger};
 use paq_db::{DbConfig, Durability, PackageDb};
 use paq_relational::{DataType, Schema, Table, Value};
-use paq_server::wire::{Request, Response};
+use paq_server::wire::{read_frame, Request, Response};
+use paq_server::wire7::{decode_response_v7, encode_request_v7};
 use paq_server::{
     pipe_listener, Acceptor, Client, ClientError, FaultKind, RequestBuilder, RetryPolicy,
-    RetryingClient, Server, ServerConfig,
+    RetryingClient, Server, ServerConfig, CONTROL_TAG,
 };
 
 /// Server pool size under test (`PAQ_THREADS`, default 4).
@@ -169,7 +170,7 @@ fn wal_torn_write_poisons_store_and_acked_appends_survive_reopen() {
     );
     let (connector, listener) = pipe_listener();
     let acked = with_server(&server, listener, || {
-        let mut client = Client::over(connector.connect().unwrap());
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
         client
             .register_table("Items", &items_table(60, 0xA11CE))
             .unwrap();
@@ -361,19 +362,20 @@ fn lost_ack_retry_with_token_is_deduplicated() {
     let server = Server::new(db.session());
     let (connector, listener) = pipe_listener();
     let plan = FaultPlan::new(0xC4A0_0005);
-    // The request writes go through; the very first read (the ack)
-    // dies. From the client's view the append may or may not have
-    // happened.
-    plan.on("lossy.read", Trigger::FailNth(1));
 
     with_server(&server, listener, || {
         const TOKEN: u64 = 0x7EA_0001;
 
-        let mut lossy = Client::over(ChaosStream::new(
+        let mut lossy = Client::handshake(ChaosStream::new(
             connector.connect().unwrap(),
             &plan,
             "lossy",
-        ));
+        ))
+        .unwrap();
+        // Armed after the handshake: the request writes go through; the
+        // very first read (the ack) dies. From the client's view the
+        // append may or may not have happened.
+        plan.on("lossy.read", Trigger::FailNth(1));
         let lost = lossy
             .append_row_with_token("Items", row(), Some(TOKEN))
             .expect_err("the ack must be lost");
@@ -386,7 +388,7 @@ fn lost_ack_retry_with_token_is_deduplicated() {
         let applied_version = db.table_version("Items").unwrap();
 
         // Retry with the same token: answered from ack memory.
-        let mut probe = Client::over(connector.connect().unwrap());
+        let mut probe = Client::handshake(connector.connect().unwrap()).unwrap();
         let version = probe
             .append_row_with_token("Items", row(), Some(TOKEN))
             .expect("deduped retry succeeds");
@@ -422,19 +424,21 @@ fn stalled_mid_frame_client_gets_typed_timeout_and_server_survives() {
     );
     let (connector, listener) = pipe_listener();
     let plan = FaultPlan::new(0xC4A0_0006);
-    // First write (the header) lands; the second (the body) stalls far
-    // past the server's 150 ms started-frame deadline.
-    plan.on(
-        "slow.write",
-        Trigger::Delay {
-            every: 2,
-            delay: Duration::from_millis(500),
-        },
-    );
 
     with_server(&server, listener, || {
-        let mut slow = ChaosStream::new(connector.connect().unwrap(), &plan, "slow");
-        let payload = Request::Stats.encode();
+        let slow = ChaosStream::new(connector.connect().unwrap(), &plan, "slow");
+        let mut slow = Client::handshake(slow).unwrap().into_inner();
+        // Armed after the handshake: the first write (the header) lands;
+        // the second (the body) stalls far past the server's 150 ms
+        // started-frame deadline.
+        plan.on(
+            "slow.write",
+            Trigger::Delay {
+                every: 2,
+                delay: Duration::from_millis(500),
+            },
+        );
+        let payload = encode_request_v7(0, &Request::Stats);
         let frame = {
             let mut f = (payload.len() as u32).to_be_bytes().to_vec();
             f.extend_from_slice(&payload);
@@ -446,17 +450,18 @@ fn stalled_mid_frame_client_gets_typed_timeout_and_server_survives() {
         let _ = slow.flush();
 
         // The server answered with a typed Timeout, then closed.
-        match Response::read_from(&mut slow) {
-            Ok(Some(Response::Error(fault))) => {
+        let answer = read_frame(&mut slow).map(|payload| payload.map(|p| decode_response_v7(&p)));
+        match answer {
+            Ok(Some(Ok((CONTROL_TAG, Response::Error(fault))))) => {
                 assert_eq!(fault.kind, FaultKind::Timeout);
                 assert!(fault.message.contains("incomplete"), "{}", fault.message);
             }
             other => panic!("expected a typed Timeout fault, got {other:?}"),
         }
-        assert!(matches!(Response::read_from(&mut slow), Ok(None)), "closed");
+        assert!(matches!(read_frame(&mut slow), Ok(None)), "closed");
 
         // The handler is free again: a healthy client is served.
-        let mut healthy = Client::over(connector.connect().unwrap());
+        let mut healthy = Client::handshake(connector.connect().unwrap()).unwrap();
         let exec = pinned_query("Items").send(&mut healthy).unwrap();
         assert!(!exec.package().is_empty());
     });
@@ -485,7 +490,7 @@ fn busy_overload_retry_honors_hint_and_converges() {
     let (connector, listener) = pipe_listener();
     with_server(&server, listener, || {
         // Occupy the single slot (a served round trip proves it).
-        let mut holder = Client::over(connector.connect().unwrap());
+        let mut holder = Client::handshake(connector.connect().unwrap()).unwrap();
         holder.stats().unwrap();
 
         std::thread::scope(|inner| {
@@ -530,7 +535,7 @@ fn request_deadlines_surface_typed_timeouts() {
     let server = Server::new(db.session());
     let (connector, listener) = pipe_listener();
     with_server(&server, listener, || {
-        let mut client = Client::over(connector.connect().unwrap());
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
 
         match pinned_query("Items").deadline_ms(0).send(&mut client) {
             Err(ClientError::Server(fault)) => assert_eq!(fault.kind, FaultKind::Timeout),
@@ -646,14 +651,16 @@ fn lost_ack_retry_across_restart_is_deduplicated() {
         let server = Server::new(db.session());
         let (connector, listener) = pipe_listener();
         let plan = FaultPlan::new(0xC4A0_0009);
-        // Request write goes through; the ack read dies.
-        plan.on("lossy.read", Trigger::FailNth(1));
         with_server(&server, listener, || {
-            let mut lossy = Client::over(ChaosStream::new(
+            let mut lossy = Client::handshake(ChaosStream::new(
                 connector.connect().unwrap(),
                 &plan,
                 "lossy",
-            ));
+            ))
+            .unwrap();
+            // Armed after the handshake: the request write goes
+            // through; the ack read dies.
+            plan.on("lossy.read", Trigger::FailNth(1));
             let lost = lossy
                 .append_row_with_token("Items", row(), Some(TOKEN))
                 .expect_err("the ack must be lost");
@@ -675,7 +682,7 @@ fn lost_ack_retry_across_restart_is_deduplicated() {
     let server = Server::new(db.session());
     let (connector, listener) = pipe_listener();
     with_server(&server, listener, || {
-        let mut probe = Client::over(connector.connect().unwrap());
+        let mut probe = Client::handshake(connector.connect().unwrap()).unwrap();
         let version = probe
             .append_row_with_token("Items", row(), Some(TOKEN))
             .expect("retry across restart is deduplicated");
@@ -722,7 +729,7 @@ fn acked_tokens_survive_snapshot_truncation_and_restart() {
     let server = Server::new(db.session());
     let (connector, listener) = pipe_listener();
     with_server(&server, listener, || {
-        let mut probe = Client::over(connector.connect().unwrap());
+        let mut probe = Client::handshake(connector.connect().unwrap()).unwrap();
         let version = probe
             .append_row_with_token("Items", row(), Some(TOKEN))
             .expect("retry across snapshot+restart is deduplicated");

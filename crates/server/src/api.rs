@@ -1,7 +1,6 @@
 //! The typed request-building surface: one module that re-exports the
-//! request/response vocabulary and a fluent [`RequestBuilder`] that
-//! replaces the free-form `execute_with(relation, paql, options)`
-//! constructors (now deprecated on [`Client`] and [`RetryingClient`]).
+//! request/response vocabulary and a fluent [`RequestBuilder`] for
+//! executions that carry a relation guard or per-request options.
 //!
 //! ```no_run
 //! use paq_server::api::RequestBuilder;
@@ -20,16 +19,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The same builder drives every client shape: [`RequestBuilder::send`]
-//! for the blocking [`Client`], [`RequestBuilder::send_retrying`] for
-//! [`RetryingClient`], and [`RequestBuilder::submit`] for the pipelined
-//! v7 [`PipelinedClient`].
+//! The same builder drives every way of calling: [`RequestBuilder::send`]
+//! blocks on a [`Client`], [`RequestBuilder::submit`] pipelines on one,
+//! and [`RequestBuilder::send_retrying`] goes through a
+//! [`RetryingClient`].
 
-use std::io::{Read, Write};
-
-use crate::client::Client;
 use crate::error::ClientResult;
-use crate::pipeline::{PipelinedClient, Ticket};
+use crate::pipeline::{Client, Ticket};
 use crate::retry::RetryingClient;
 use crate::server::Connection;
 
@@ -123,7 +119,7 @@ impl RequestBuilder {
     }
 
     /// The accumulated options (for APIs that take [`ExecOptions`]
-    /// directly, e.g. [`PipelinedClient::submit_execute`]).
+    /// directly, e.g. [`Client::submit_execute`]).
     pub fn options(&self) -> ExecOptions {
         self.options.clone()
     }
@@ -146,15 +142,15 @@ impl RequestBuilder {
         }
     }
 
-    /// Execute through a blocking [`Client`].
-    pub fn send<C: Read + Write>(&self, client: &mut Client<C>) -> ClientResult<RemoteExecution> {
-        client.execute_request(&self.build())
+    /// Execute through a [`Client`] and wait for the answer.
+    pub fn send<C: Connection>(&self, client: &mut Client<C>) -> ClientResult<RemoteExecution> {
+        client.call(&self.build())
     }
 
-    /// Fetch only the server-side plan explanation through a blocking
+    /// Fetch only the server-side plan explanation through a
     /// [`Client`].
-    pub fn explain<C: Read + Write>(&self, client: &mut Client<C>) -> ClientResult<String> {
-        client.explain_request(&self.build_explain())
+    pub fn explain<C: Connection>(&self, client: &mut Client<C>) -> ClientResult<String> {
+        client.call(&self.build_explain())
     }
 
     /// Execute through a [`RetryingClient`] (reconnect + backoff on
@@ -164,17 +160,17 @@ impl RequestBuilder {
         client: &mut RetryingClient<C, F>,
     ) -> ClientResult<RemoteExecution>
     where
-        C: Read + Write,
+        C: Connection,
         F: FnMut() -> std::io::Result<C>,
     {
         client.execute_opts(&self.relation, &self.paql, self.options.clone())
     }
 
-    /// Submit through a pipelined v7 [`PipelinedClient`]; returns the
+    /// Submit through a [`Client`] without waiting; returns the
     /// completion ticket.
     pub fn submit<C: Connection>(
         &self,
-        client: &mut PipelinedClient<C>,
+        client: &mut Client<C>,
     ) -> ClientResult<Ticket<RemoteExecution>> {
         client.submit_execute(&self.relation, &self.paql, self.options.clone())
     }

@@ -28,7 +28,7 @@ pub enum WireError {
     Version {
         /// Version byte received.
         got: u8,
-        /// Version this build speaks ([`crate::wire::WIRE_VERSION`]).
+        /// Version this build speaks ([`crate::wire7::WIRE_V7`]).
         want: u8,
     },
     /// A frame started but did not complete within the reader's
@@ -77,13 +77,14 @@ impl From<io::Error> for WireError {
 /// Result alias for frame encode/decode.
 pub type WireResult<T> = Result<T, WireError>;
 
-/// Errors surfaced by [`crate::client::Client`] calls.
+/// Errors surfaced by [`crate::Client`] calls.
 #[derive(Debug)]
 pub enum ClientError {
     /// Transport/framing failure.
     Wire(WireError),
-    /// The server rejected the request because its in-flight bound is
-    /// reached; retry later (typed backpressure, not a failure).
+    /// The server rejected the connection at its in-flight bound, or
+    /// admission control shed the request; retry later (typed
+    /// backpressure, not a failure).
     Busy {
         /// Connections the server was serving when it rejected this one.
         in_flight: u64,
@@ -91,8 +92,8 @@ pub enum ClientError {
         max_in_flight: u64,
         /// The server's pacing hint: wait this long before retrying.
         retry_after_ms: u64,
-        /// Which admission class was shed (v7 fairness admission only;
-        /// `None` for accept-time connection rejections and v6 peers).
+        /// Which admission class was shed (fairness admission only;
+        /// `None` for accept-time connection rejections).
         shed_class: Option<crate::wire::ShedClass>,
     },
     /// The server reported an application-level error.

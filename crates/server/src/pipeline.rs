@@ -1,40 +1,51 @@
-//! The pipelined (protocol v7) client: many requests in flight on one
-//! connection, completions in whatever order the server finishes them.
+//! The client: typed PaQL calls over any [`Connection`], blocking or
+//! pipelined on the same connection.
 //!
-//! [`PipelinedClient`] opens with a [`Hello`] handshake, then each
-//! `submit_*` call writes one tagged request frame and returns a
-//! [`Ticket`] — a future-like completion handle typed by what the
-//! request will produce. [`PipelinedClient::wait`] blocks until *that*
+//! [`Client`] opens with a v7 [`Hello`] handshake
+//! ([`Client::handshake`], [`Client::handshake_as`], or
+//! [`Client::connect`] for TCP). Its blocking calls (`execute`,
+//! `explain`, `stats`, …) submit one request and wait for its answer.
+//! For pipelining, each `submit_*` call writes one tagged request frame
+//! and returns a [`Ticket`] — a future-like completion handle typed by
+//! what the request will produce. [`Client::wait`] blocks until *that*
 //! ticket's response arrives, buffering any other completions it reads
-//! along the way; [`PipelinedClient::poll_ready`] drains whatever has
-//! already arrived without blocking. Because responses carry the
-//! request's tag, the client never confuses out-of-order completions.
+//! along the way; [`Client::poll_ready`] drains whatever has already
+//! arrived without blocking. Because responses carry the request's tag,
+//! the client never confuses out-of-order completions.
+//!
+//! Backpressure ([`Response::Busy`]) and server-reported faults surface
+//! as typed [`ClientError`]s; everything else returns the decoded
+//! payload.
 //!
 //! ```no_run
-//! use paq_server::{HelloOptions, PipelinedClient};
+//! use paq_server::Client;
 //!
-//! let conn = std::net::TcpStream::connect("127.0.0.1:7878")?;
-//! let mut client = PipelinedClient::handshake(conn)?;
-//! let a = client.submit_execute("", "SELECT PACKAGE(R) AS P FROM T R \
-//!     REPEAT 0 SUCH THAT COUNT(P.*) = 2 MINIMIZE SUM(P.x)", Default::default())?;
+//! let mut client = Client::connect("127.0.0.1:7878")?;
+//! // Blocking: one request, one answer.
+//! let answer = client.execute(
+//!     "SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 0 \
+//!      SUCH THAT COUNT(P.*) = 3 MINIMIZE SUM(P.saturated_fat)",
+//! )?;
+//! println!("package: {:?}", answer.package().members());
+//!
+//! // Pipelined: several requests in flight, answers in any order.
+//! let a = client.submit_execute("", "SELECT PACKAGE(R) AS P FROM Recipes R \
+//!     REPEAT 0 SUCH THAT COUNT(P.*) = 2 MINIMIZE SUM(P.kcal)", Default::default())?;
 //! let b = client.submit_stats()?;
 //! let stats = client.wait(b)?;       // may complete before `a`
 //! let answer = client.wait(a)?;
 //! # let _ = (stats, answer);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The blocking [`Client`](crate::client::Client) is unchanged and
-//! speaks the legacy protocol; use it when one-at-a-time is enough.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::time::{Duration, Instant};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use paq_obs::RegistrySnapshot;
 use paq_relational::{Table, Value};
 
-use crate::client::unexpected;
 use crate::error::{ClientError, ClientResult, WireError};
 use crate::server::Connection;
 use crate::wire::{
@@ -65,7 +76,7 @@ impl Default for HelloOptions {
 }
 
 /// A completion handle for one submitted request, typed by the payload
-/// [`PipelinedClient::wait`] will return for it.
+/// [`Client::wait`] will return for it.
 #[derive(Debug)]
 pub struct Ticket<T> {
     tag: u32,
@@ -151,9 +162,26 @@ impl Completion for () {
     }
 }
 
-/// A protocol-v7 pipelined client. See the [module docs](self).
+fn unexpected(wanted: &str, got: &Response) -> ClientError {
+    let variant = match got {
+        Response::Executed(_) => "Executed",
+        Response::Registered { .. } => "Registered",
+        Response::Appended { .. } => "Appended",
+        Response::Explained { .. } => "Explained",
+        Response::Stats(_) => "Stats",
+        Response::Metrics(_) => "Metrics",
+        Response::ShuttingDown => "ShuttingDown",
+        Response::Busy { .. } => "Busy",
+        Response::Error(_) => "Error",
+    };
+    ClientError::UnexpectedResponse(format!("wanted {wanted}, got {variant}"))
+}
+
+/// A connected PaQL client. See the [module docs](self). Not `Clone`:
+/// open one client per concurrent caller, the server gives each
+/// connection its own session.
 #[derive(Debug)]
-pub struct PipelinedClient<C: Connection> {
+pub struct Client<C: Connection> {
     conn: C,
     next_tag: u32,
     window: u64,
@@ -162,55 +190,74 @@ pub struct PipelinedClient<C: Connection> {
     /// Tags in the order their responses arrived (the server's
     /// completion order — the out-of-orderness tests assert on this).
     completed: Vec<u32>,
-    completed_at: HashMap<u32, Instant>,
 }
 
-impl<C: Connection> PipelinedClient<C> {
+impl Client<TcpStream> {
+    /// Connect over TCP and open the v7 conversation. Disables Nagle's
+    /// algorithm: frames are small, exactly the shape delayed-ACK
+    /// coupling penalizes.
+    pub fn connect(addr: impl ToSocketAddrs) -> ClientResult<Self> {
+        let conn = TcpStream::connect(addr)?;
+        conn.set_nodelay(true)?;
+        Self::handshake(conn)
+    }
+}
+
+impl<C: Connection> Client<C> {
     /// Open a v7 conversation on `conn` with default [`HelloOptions`].
     pub fn handshake(conn: C) -> ClientResult<Self> {
         Self::handshake_as(conn, HelloOptions::default())
     }
 
     /// Open a v7 conversation declaring an admission class and client
-    /// identity. Fails with a typed [`WireError::Version`] when the
-    /// server negotiates below v7 (fall back to the blocking
-    /// [`Client`](crate::client::Client) on a fresh connection), and
-    /// surfaces a server-side handshake refusal (e.g. a connection that
-    /// cannot be split for pipelining) as the server's fault.
+    /// identity. A server-side refusal (the accept-time `Busy`, or a
+    /// connection that cannot be served) surfaces as the server's typed
+    /// error.
     pub fn handshake_as(mut conn: C, options: HelloOptions) -> ClientResult<Self> {
         conn.set_read_poll(None).map_err(ClientError::from)?;
-        Hello {
+        // A connection rejected at accept time (typed Busy) may already
+        // have closed under us, making the *write* fail — but the Busy
+        // frame is still buffered for reading. Hold the write error and
+        // prefer whatever the server managed to say.
+        let wrote = Hello {
             max_version: WIRE_V7,
             client_id: options.client_id,
             class: options.class,
         }
-        .write_to(&mut conn)?;
-        let payload = match read_frame(&mut conn)? {
-            Some(payload) => payload,
-            None => return Err(ClientError::ConnectionClosed),
+        .write_to(&mut conn);
+        let payload = match read_frame(&mut conn) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => {
+                wrote?;
+                return Err(ClientError::ConnectionClosed);
+            }
+            Err(e) => {
+                wrote?;
+                return Err(e.into());
+            }
         };
         let ack = match HelloAck::decode(&payload) {
             Ok(ack) => ack,
-            // Not an ack: the server may have refused the handshake
-            // with a tagged fault — surface that instead of "malformed".
+            // Not an ack: the server refused the connection with a
+            // tagged fault — surface that instead of "malformed".
             Err(e) => match decode_response_v7(&payload) {
                 Ok((_, response)) => return Err(Self::fault_of(response)),
                 Err(_) => return Err(e.into()),
             },
         };
+        wrote?;
         if ack.version != WIRE_V7 {
             return Err(ClientError::Wire(WireError::Version {
                 got: ack.version,
                 want: WIRE_V7,
             }));
         }
-        Ok(PipelinedClient {
+        Ok(Client {
             conn,
             next_tag: 0,
             window: ack.window,
             ready: HashMap::new(),
             completed: Vec::new(),
-            completed_at: HashMap::new(),
         })
     }
 
@@ -233,20 +280,99 @@ impl<C: Connection> PipelinedClient<C> {
         tag
     }
 
-    /// Write one tagged request frame; the typed `submit_*` wrappers
-    /// (and [`RequestBuilder::submit`](crate::api::RequestBuilder))
-    /// shape the ticket.
-    pub(crate) fn submit_raw(&mut self, request: &Request) -> ClientResult<u32> {
+    /// Write one tagged request frame and hand back its ticket; the
+    /// caller's choice of `T` names the payload the request produces.
+    fn submit<T>(&mut self, request: &Request) -> ClientResult<Ticket<T>> {
         let tag = self.alloc_tag();
         write_frame(&mut self.conn, &encode_request_v7(tag, request))?;
-        Ok(tag)
-    }
-
-    fn ticket<T>(tag: u32) -> Ticket<T> {
-        Ticket {
+        Ok(Ticket {
             tag,
             _type: PhantomData,
-        }
+        })
+    }
+
+    /// Submit `request` and block for its answer.
+    pub(crate) fn call<T: Completion>(&mut self, request: &Request) -> ClientResult<T> {
+        let ticket = self.submit(request)?;
+        self.wait(ticket)
+    }
+
+    /// Execute a PaQL query with default options.
+    pub fn execute(&mut self, paql: &str) -> ClientResult<RemoteExecution> {
+        self.call(&Request::Execute {
+            relation: String::new(),
+            paql: paql.to_owned(),
+            options: ExecOptions::default(),
+        })
+    }
+
+    /// Execute a PaQL query but fetch only the server-side plan
+    /// explanation.
+    pub fn explain(&mut self, paql: &str) -> ClientResult<String> {
+        self.call(&Request::Explain {
+            relation: String::new(),
+            paql: paql.to_owned(),
+            options: ExecOptions::default(),
+        })
+    }
+
+    /// Register (or replace) a table; returns the catalog version.
+    pub fn register_table(&mut self, name: &str, table: &Table) -> ClientResult<u64> {
+        self.register_table_with_token(name, table, None)
+    }
+
+    /// [`Client::register_table`] carrying an idempotency `token`: the
+    /// server remembers acked tokens and answers a repeat with the
+    /// recorded ack instead of re-applying, so this call is safe to
+    /// retry after a lost acknowledgement (see
+    /// [`RetryingClient`](crate::retry::RetryingClient)).
+    pub fn register_table_with_token(
+        &mut self,
+        name: &str,
+        table: &Table,
+        token: Option<u64>,
+    ) -> ClientResult<u64> {
+        let ticket = self.submit_register_table(name, table, token)?;
+        self.wait(ticket)
+    }
+
+    /// Append one row; returns the new catalog version.
+    pub fn append_row(&mut self, name: &str, row: Vec<Value>) -> ClientResult<u64> {
+        self.append_row_with_token(name, row, None)
+    }
+
+    /// [`Client::append_row`] carrying an idempotency `token` (same
+    /// retry-safety contract as [`Client::register_table_with_token`]).
+    pub fn append_row_with_token(
+        &mut self,
+        name: &str,
+        row: Vec<Value>,
+        token: Option<u64>,
+    ) -> ClientResult<u64> {
+        let ticket = self.submit_append_row(name, row, token)?;
+        self.wait(ticket)
+    }
+
+    /// Fetch the server's database snapshot (tables + cache counters).
+    pub fn stats(&mut self) -> ClientResult<StatsReply> {
+        self.call(&Request::Stats)
+    }
+
+    /// Fetch the server's full metrics-registry snapshot: counters,
+    /// gauges, and latency histograms (engine, store, and server-side
+    /// figures together). Empty when the server runs with observability
+    /// disabled. Render it locally with
+    /// [`paq_obs::prometheus::render`] for text exposition, or read
+    /// percentiles straight off the
+    /// [`HistogramSnapshot`](paq_obs::HistogramSnapshot)s.
+    pub fn metrics(&mut self) -> ClientResult<RegistrySnapshot> {
+        self.call(&Request::Metrics)
+    }
+
+    /// Ask the server to shut down gracefully (drain in-flight work,
+    /// stop accepting). The server acknowledges before closing.
+    pub fn shutdown(&mut self) -> ClientResult<()> {
+        self.call(&Request::Shutdown)
     }
 
     /// Submit a PaQL execution. `relation`, when non-empty, must match
@@ -258,39 +384,35 @@ impl<C: Connection> PipelinedClient<C> {
         paql: &str,
         options: ExecOptions,
     ) -> ClientResult<Ticket<RemoteExecution>> {
-        let tag = self.submit_raw(&Request::Execute {
+        self.submit(&Request::Execute {
             relation: relation.to_owned(),
             paql: paql.to_owned(),
             options,
-        })?;
-        Ok(Self::ticket(tag))
+        })
     }
 
     /// Submit a plan-explanation request.
     pub fn submit_explain(&mut self, paql: &str) -> ClientResult<Ticket<String>> {
-        let tag = self.submit_raw(&Request::Explain {
+        self.submit(&Request::Explain {
             relation: String::new(),
             paql: paql.to_owned(),
             options: ExecOptions::default(),
-        })?;
-        Ok(Self::ticket(tag))
+        })
     }
 
-    /// Submit a table registration; the table travels in the v7
-    /// columnar encoding. The ticket completes with the catalog
-    /// version.
+    /// Submit a table registration; the table travels in the columnar
+    /// encoding. The ticket completes with the catalog version.
     pub fn submit_register_table(
         &mut self,
         name: &str,
         table: &Table,
         token: Option<u64>,
     ) -> ClientResult<Ticket<u64>> {
-        let tag = self.submit_raw(&Request::RegisterTable {
+        self.submit(&Request::RegisterTable {
             name: name.to_owned(),
             table: table.clone(),
             token,
-        })?;
-        Ok(Self::ticket(tag))
+        })
     }
 
     /// Submit a row append; the ticket completes with the catalog
@@ -301,30 +423,26 @@ impl<C: Connection> PipelinedClient<C> {
         row: Vec<Value>,
         token: Option<u64>,
     ) -> ClientResult<Ticket<u64>> {
-        let tag = self.submit_raw(&Request::AppendRow {
+        self.submit(&Request::AppendRow {
             name: name.to_owned(),
             row,
             token,
-        })?;
-        Ok(Self::ticket(tag))
+        })
     }
 
     /// Submit a database-stats request.
     pub fn submit_stats(&mut self) -> ClientResult<Ticket<StatsReply>> {
-        let tag = self.submit_raw(&Request::Stats)?;
-        Ok(Self::ticket(tag))
+        self.submit(&Request::Stats)
     }
 
     /// Submit a metrics-snapshot request.
     pub fn submit_metrics(&mut self) -> ClientResult<Ticket<RegistrySnapshot>> {
-        let tag = self.submit_raw(&Request::Metrics)?;
-        Ok(Self::ticket(tag))
+        self.submit(&Request::Metrics)
     }
 
     /// Submit a graceful-shutdown request.
     pub fn submit_shutdown(&mut self) -> ClientResult<Ticket<()>> {
-        let tag = self.submit_raw(&Request::Shutdown)?;
-        Ok(Self::ticket(tag))
+        self.submit(&Request::Shutdown)
     }
 
     /// Block until `ticket`'s response arrives (buffering any other
@@ -360,7 +478,6 @@ impl<C: Connection> PipelinedClient<C> {
             return Err(Self::fault_of(response));
         }
         self.completed.push(tag);
-        self.completed_at.insert(tag, Instant::now());
         self.ready.insert(tag, response);
         Ok(())
     }
@@ -385,7 +502,7 @@ impl<C: Connection> PipelinedClient<C> {
 
     /// Drain responses that have already arrived, without blocking for
     /// more. Returns the tags newly completed by this call; read their
-    /// payloads with [`PipelinedClient::wait`] (which no longer blocks
+    /// payloads with [`Client::wait`] (which no longer blocks
     /// for them).
     pub fn poll_ready(&mut self) -> ClientResult<Vec<u32>> {
         self.conn
@@ -415,10 +532,5 @@ impl<C: Connection> PipelinedClient<C> {
     /// submission order.
     pub fn completed_order(&self) -> &[u32] {
         &self.completed
-    }
-
-    /// When `tag`'s response arrived at this client, if it has.
-    pub fn completed_at(&self, tag: u32) -> Option<Instant> {
-        self.completed_at.get(&tag).copied()
     }
 }

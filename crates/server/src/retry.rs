@@ -31,7 +31,6 @@
 //!
 //! [`Busy`]: ClientError::Busy
 
-use std::io::{Read, Write};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
@@ -40,9 +39,10 @@ use rand::{Rng, SeedableRng};
 use paq_obs::Registry;
 use paq_relational::{Table, Value};
 
-use crate::client::Client;
 use crate::error::{ClientError, ClientResult};
-use crate::wire::{ExecOptions, RemoteExecution, StatsReply};
+use crate::pipeline::Client;
+use crate::server::Connection;
+use crate::wire::{ExecOptions, RemoteExecution, Request, StatsReply};
 
 /// When and how hard to retry.
 #[derive(Debug, Clone)]
@@ -107,11 +107,12 @@ pub struct RetryStats {
     pub reconnects: u64,
 }
 
-/// A self-healing client: reconnects through a connect closure and
-/// retries transient failures per a [`RetryPolicy`].
+/// A self-healing client: reconnects (and re-handshakes) through a
+/// connect closure and retries transient failures per a
+/// [`RetryPolicy`].
 ///
 /// ```no_run
-/// use paq_server::{Client, RetryPolicy, RetryingClient};
+/// use paq_server::{RetryPolicy, RetryingClient};
 ///
 /// let mut client = RetryingClient::new(
 ///     || std::net::TcpStream::connect("127.0.0.1:7878"),
@@ -124,7 +125,7 @@ pub struct RetryStats {
 /// # Ok::<(), paq_server::ClientError>(())
 /// ```
 #[derive(Debug)]
-pub struct RetryingClient<C: Read + Write, F: FnMut() -> std::io::Result<C>> {
+pub struct RetryingClient<C: Connection, F: FnMut() -> std::io::Result<C>> {
     connect: F,
     policy: RetryPolicy,
     client: Option<Client<C>>,
@@ -133,7 +134,7 @@ pub struct RetryingClient<C: Read + Write, F: FnMut() -> std::io::Result<C>> {
     obs: Registry,
 }
 
-impl<C: Read + Write, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
+impl<C: Connection, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
     /// A client that (re)connects through `connect` and retries per
     /// `policy`. Nothing connects until the first call.
     pub fn new(connect: F, policy: RetryPolicy) -> Self {
@@ -173,7 +174,7 @@ impl<C: Read + Write, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
             let conn = (self.connect)().map_err(ClientError::from)?;
             self.stats.reconnects += 1;
             self.obs.incr("client.reconnects");
-            self.client = Some(Client::over(conn));
+            self.client = Some(Client::handshake(conn)?);
         }
         Ok(self.client.as_mut().expect("connected above"))
     }
@@ -198,8 +199,10 @@ impl<C: Read + Write, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
                 return Err(error);
             }
             // Every transient error leaves the connection unusable
-            // (Busy closes it server-side; the rest are stream
-            // failures): drop it and reconnect on the next attempt.
+            // (the accept-time Busy closes it server-side; a shed
+            // request's Busy is retried on a fresh connection too; the
+            // rest are stream failures): drop it and reconnect on the
+            // next attempt.
             self.client = None;
             let hint = match &error {
                 ClientError::Busy { retry_after_ms, .. } => {
@@ -223,31 +226,20 @@ impl<C: Read + Write, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
         self.execute_opts("", paql, ExecOptions::default())
     }
 
-    /// [`Client::execute_with`] with retries.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build the request with `paq_server::api::RequestBuilder` and call \
-                `.send_retrying(&mut client)` instead"
-    )]
-    pub fn execute_with(
-        &mut self,
-        relation: &str,
-        paql: &str,
-        options: ExecOptions,
-    ) -> ClientResult<RemoteExecution> {
-        self.execute_opts(relation, paql, options)
-    }
-
-    /// Non-deprecated internal execute path shared by
-    /// [`RetryingClient::execute`], the deprecated free-form constructor
-    /// above, and [`RequestBuilder`](crate::api::RequestBuilder).
+    /// Execute with a relation guard and per-request options, with
+    /// retries ([`RequestBuilder::send_retrying`](crate::api::RequestBuilder)).
     pub(crate) fn execute_opts(
         &mut self,
         relation: &str,
         paql: &str,
         options: ExecOptions,
     ) -> ClientResult<RemoteExecution> {
-        self.with_retry(|c| c.execute_opts(relation, paql, options.clone()))
+        let request = Request::Execute {
+            relation: relation.to_owned(),
+            paql: paql.to_owned(),
+            options,
+        };
+        self.with_retry(|c| c.call(&request))
     }
 
     /// [`Client::explain`] with retries.
@@ -334,11 +326,11 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut c1 = RetryingClient::new(
-            || Err::<std::io::Empty, _>(std::io::Error::other("nope")),
+            || Err::<crate::PipeEnd, _>(std::io::Error::other("nope")),
             policy.clone(),
         );
         let mut c2 = RetryingClient::new(
-            || Err::<std::io::Empty, _>(std::io::Error::other("nope")),
+            || Err::<crate::PipeEnd, _>(std::io::Error::other("nope")),
             policy,
         );
         let t1: Vec<u64> = (0..4).map(|_| c1.next_token()).collect();

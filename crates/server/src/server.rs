@@ -1,5 +1,6 @@
 //! The server core: an acceptor loop feeding a fixed
-//! connection-handler pool, one `PackageDb` session per connection.
+//! connection-reader pool, an admission scheduler feeding a fixed
+//! executor pool, one `PackageDb` session per connection.
 //!
 //! # Concurrency model
 //!
@@ -12,10 +13,14 @@
 //!   so handlers never take a lock of the server's own. Per-request
 //!   [`ExecOptions`] apply to a fresh session clone, so one client's
 //!   tuning can never leak into another's.
+//! * Each handler opens the connection with the v7 handshake, then
+//!   reads tagged requests and offers them to the fairness-aware
+//!   admission scheduler; **executors** answer them, possibly out of
+//!   order, through a cloned writer handle.
 //! * **Backpressure** is a bound on accepted-but-unfinished
 //!   connections: at the bound, a new connection is answered with a
-//!   typed [`Response::Busy`] and closed instead of queueing without
-//!   limit ([`ServerConfig::max_in_flight`]).
+//!   typed [`Response::Busy`] on the [`CONTROL_TAG`] and closed instead
+//!   of queueing without limit ([`ServerConfig::max_in_flight`]).
 //! * **Graceful shutdown**: a [`Request::Shutdown`] (or
 //!   [`Server::trigger_shutdown`]) stops the acceptor; handlers finish
 //!   the request they are processing — a frame already started is
@@ -36,7 +41,7 @@ use std::time::{Duration, Instant};
 use paq_db::{AckKind, DbError, Execution, PackageDb};
 use paq_exec::ThreadPool;
 use paq_lang::parse_paql;
-use paq_obs::Registry;
+use paq_obs::{names, Registry};
 
 pub use crate::admission::AdmissionConfig;
 use crate::admission::{FairScheduler, PushOutcome, WindowGate};
@@ -77,7 +82,7 @@ pub struct ServerConfig {
     /// window or the handler answers with a [`FaultKind::Timeout`]
     /// fault and closes the connection — the slowloris guard, so a
     /// client that sends a few header bytes and stalls cannot pin a
-    /// handler forever. `None` disables the guard (legacy behavior).
+    /// handler forever. `None` disables the guard.
     pub frame_deadline: Option<Duration>,
     /// Pacing hint carried on [`Response::Busy`]: how long a rejected
     /// client should wait before reconnecting.
@@ -101,13 +106,12 @@ pub struct ServerConfig {
     /// workers forever. Resolution is
     /// [`ServerConfig::poll_interval`] ticks. `None` disables.
     pub idle_timeout: Option<Duration>,
-    /// Per-connection pipeline window for protocol-v7 connections: at
-    /// most this many of one connection's requests may be queued or
-    /// executing at once. Advertised to the client in the
-    /// [`HelloAck`] handshake answer.
+    /// Per-connection pipeline window: at most this many of one
+    /// connection's requests may be queued or executing at once.
+    /// Advertised to the client in the [`HelloAck`] handshake answer.
     pub pipeline_window: usize,
-    /// Fairness-aware admission control for pipelined (v7) requests;
-    /// see [`AdmissionConfig`].
+    /// Fairness-aware admission control for every request; see
+    /// [`AdmissionConfig`].
     pub admission: AdmissionConfig,
 }
 
@@ -155,12 +159,11 @@ pub trait Connection: Read + Write + Send {
     fn set_read_poll(&mut self, timeout: Option<Duration>) -> io::Result<()>;
 
     /// A second handle onto the same stream for **writing** responses
-    /// while this handle keeps reading — the split the v7 pipelined
-    /// loop needs so executors complete responses out of order without
-    /// blocking the frame reader. Streams that cannot be split (e.g.
-    /// fault-injection wrappers) return `ErrorKind::Unsupported`; the
-    /// server then refuses the v7 handshake on that connection while
-    /// legacy request/response service stays unaffected.
+    /// while this handle keeps reading — the split the pipelined loop
+    /// needs so executors complete responses out of order without
+    /// blocking the frame reader. A stream that cannot be split returns
+    /// `ErrorKind::Unsupported`, and the server refuses the connection
+    /// with a typed fault.
     fn try_clone_writer(&self) -> io::Result<Self>
     where
         Self: Sized;
@@ -314,7 +317,7 @@ struct ServerState {
     obs: Registry,
 }
 
-/// One admitted pipelined (v7) request, queued in the
+/// One admitted request, queued in the
 /// [`FairScheduler`] until an executor picks it up. Carries everything
 /// the executor needs to answer independently of the connection's
 /// reader: the client's tag, a shared writer handle, the
@@ -485,8 +488,8 @@ impl Server {
     /// listener closes), then drain in-flight handlers before
     /// returning. The acceptor runs on the calling thread; connection
     /// handlers (frame readers) run on the server's handler pool;
-    /// pipelined v7 requests execute on a separate executor pool fed by
-    /// the fairness-aware admission scheduler.
+    /// requests execute on a separate executor pool fed by the
+    /// fairness-aware admission scheduler.
     pub fn serve<A: Acceptor>(&self, mut acceptor: A) {
         let state = Arc::clone(&self.state);
         let sched: FairScheduler<Work<A::Conn>> = FairScheduler::new(self.config.admission.clone());
@@ -513,13 +516,14 @@ impl Server {
                             let in_flight = state.in_flight.load(Ordering::Acquire);
                             if in_flight >= self.config.max_in_flight {
                                 state.busy_rejections.fetch_add(1, Ordering::AcqRel);
-                                let _ = Response::Busy {
+                                let busy = Response::Busy {
                                     in_flight: in_flight as u64,
                                     max_in_flight: self.config.max_in_flight as u64,
                                     retry_after_ms: self.config.busy_retry_after.as_millis() as u64,
                                     shed_class: None,
-                                }
-                                .write_to(&mut conn);
+                                };
+                                let frame = encode_response_v7(CONTROL_TAG, &busy);
+                                let _ = write_frame(&mut conn, &frame);
                                 continue; // drop rejects the connection
                             }
                             state.in_flight.fetch_add(1, Ordering::AcqRel);
@@ -538,7 +542,7 @@ impl Server {
                     let _guard = InFlightGuard(&state.in_flight);
                     state
                         .obs
-                        .observe("server.queue_wait", accepted_at.elapsed());
+                        .observe(names::SERVER_QUEUE_WAIT, accepted_at.elapsed());
                     self.handle_connection(conn, &sched);
                 },
             );
@@ -596,214 +600,63 @@ impl Server {
         );
         if idle_expired && matches!(result, Ok(None)) {
             self.state.idle_closed.fetch_add(1, Ordering::AcqRel);
-            self.state.obs.incr(paq_obs::names::SERVER_IDLE_CLOSED);
+            self.state.obs.incr(names::SERVER_IDLE_CLOSED);
         }
         result
     }
 
-    /// Drive one connection. The first frame decides the protocol: a v7
-    /// [`Hello`] enters the pipelined loop ([`Server::serve_v7`]); any
-    /// other payload is served over the legacy request/response protocol
-    /// byte-identically to PR 4–9 servers ([`Server::serve_legacy`]).
+    /// Drive one connection: the v7 handshake, then the pipelined loop.
+    /// This thread stays the connection's only *reader*: it decodes
+    /// tagged request frames and offers them to the admission
+    /// scheduler; executors complete them out of order, writing tagged
+    /// responses through a cloned writer handle. The per-connection
+    /// [`WindowGate`] bounds how many of this connection's requests are
+    /// queued or executing at once.
     fn handle_connection<C: Connection>(&self, mut conn: C, sched: &FairScheduler<Work<C>>) {
         if conn.set_read_poll(Some(self.config.poll_interval)).is_err() {
             return;
         }
-        self.state.obs.incr("server.connections");
-        let read_start = Instant::now();
-        let payload = match self.read_request_frame(&mut conn) {
-            Ok(Some(payload)) => {
-                self.state
-                    .obs
-                    .observe("server.frame.read", read_start.elapsed());
-                payload
-            }
-            // Peer closed, shutdown, or idle timeout before any frame.
-            Ok(None) => return,
-            // First frame stalled or broke: report in the legacy framing
-            // (we cannot know the peer's protocol yet) and close.
-            Err(WireError::DeadlineExpired { elapsed }) => {
-                self.state.frame_timeouts.fetch_add(1, Ordering::AcqRel);
-                let _ = Response::Error(Fault {
-                    kind: FaultKind::Timeout,
-                    message: format!("request frame still incomplete after {elapsed:?}"),
-                })
-                .write_to(&mut conn);
-                return;
-            }
-            Err(e) => {
-                let _ = Response::Error(Fault {
-                    kind: FaultKind::BadRequest,
-                    message: format!("unreadable frame: {e}"),
-                })
-                .write_to(&mut conn);
-                return;
-            }
-        };
-        if wire7::is_v7_payload(&payload) {
-            self.serve_v7(conn, &payload, sched);
-        } else {
-            self.serve_legacy(conn, Some(payload));
-        }
-    }
-
-    /// The legacy (v5/v6) request/response loop: read a frame, dispatch,
-    /// respond, repeat — until the peer closes, the connection breaks,
-    /// or shutdown drains it. `first` is a frame the protocol sniffer
-    /// already read; responses are byte-identical to pre-v7 servers.
-    fn serve_legacy<C: Connection>(&self, mut conn: C, mut first: Option<Vec<u8>>) {
-        // One session per connection; its config is the base every
-        // request's overrides apply to.
-        let session = self.db.session();
-        loop {
-            // The read histogram covers the whole wait for a frame, so
-            // for all but the first request on a pipelined connection it
-            // is dominated by client think-time — it exists to expose
-            // slow/stalling senders, not server work (that's
-            // `server.handle`).
-            let read_start = Instant::now();
-            let next = match first.take() {
-                // The sniffer already read (and timed) this frame.
-                Some(payload) => Ok(Some(payload)),
-                None => self.read_request_frame(&mut conn).inspect(|payload| {
-                    if payload.is_some() {
-                        self.state
-                            .obs
-                            .observe("server.frame.read", read_start.elapsed());
-                    }
-                }),
-            };
-            let payload = match next {
-                Ok(Some(payload)) => payload,
-                // Peer closed, or shutdown while idle: drain complete.
-                Ok(None) => return,
-                // A started frame stalled past the deadline: free the
-                // handler with a typed timeout, then close (the stream
-                // is mid-frame, unusable for another request).
-                Err(WireError::DeadlineExpired { elapsed }) => {
-                    self.state.frame_timeouts.fetch_add(1, Ordering::AcqRel);
-                    let _ = Response::Error(Fault {
-                        kind: FaultKind::Timeout,
-                        message: format!("request frame still incomplete after {elapsed:?}"),
-                    })
-                    .write_to(&mut conn);
-                    return;
-                }
-                // Framing is broken (oversized/truncated/io): the
-                // stream cannot be trusted for another frame. Report if
-                // possible, then close.
-                Err(e) => {
-                    let _ = Response::Error(Fault {
-                        kind: FaultKind::BadRequest,
-                        message: format!("unreadable frame: {e}"),
-                    })
-                    .write_to(&mut conn);
-                    return;
-                }
-            };
-            let decode_start = Instant::now();
-            let request = match Request::decode(&payload) {
-                Ok(request) => {
-                    self.state
-                        .obs
-                        .observe("server.request.decode", decode_start.elapsed());
-                    request
-                }
-                // The frame was well-delimited but undecodable; the
-                // stream itself is still in sync, so answer and keep
-                // the connection.
-                Err(e) => {
-                    self.state.served.fetch_add(1, Ordering::AcqRel);
-                    let ok = Response::Error(Fault {
-                        kind: FaultKind::BadRequest,
-                        message: format!("undecodable request: {e}"),
-                    })
-                    .write_to(&mut conn)
-                    .is_ok();
-                    if ok {
-                        continue;
-                    }
-                    return;
-                }
-            };
-            let handle_start = Instant::now();
-            let response = self.dispatch(&session, request);
-            self.state.obs.incr("server.requests");
-            self.state
-                .obs
-                .observe("server.handle", handle_start.elapsed());
-            let shutting_down = matches!(response, Response::ShuttingDown);
-            self.state.served.fetch_add(1, Ordering::AcqRel);
-            let write_start = Instant::now();
-            let wrote = response.write_to(&mut conn);
-            self.state
-                .obs
-                .observe("server.response.write", write_start.elapsed());
-            if wrote.is_err() || shutting_down {
-                return;
-            }
-        }
-    }
-
-    /// The pipelined v7 loop. `hello_payload` is the already-read first
-    /// frame (a v7 [`Hello`]). This thread stays the connection's only
-    /// *reader*: it decodes tagged request frames and offers them to the
-    /// admission scheduler; executors complete them out of order,
-    /// writing tagged responses through a cloned writer handle. The
-    /// per-connection [`WindowGate`] bounds how many of this
-    /// connection's requests are queued or executing at once.
-    fn serve_v7<C: Connection>(
-        &self,
-        mut conn: C,
-        hello_payload: &[u8],
-        sched: &FairScheduler<Work<C>>,
-    ) {
-        let hello = match Hello::decode(hello_payload) {
-            Ok(hello) => hello,
-            Err(e) => {
-                self.write_v7_error(
-                    &mut conn,
-                    CONTROL_TAG,
-                    FaultKind::BadRequest,
-                    format!("bad hello: {e}"),
-                );
-                return;
-            }
-        };
+        self.state.obs.incr(names::SERVER_CONNECTIONS);
         // Responses complete on executor threads while this thread keeps
         // reading, so the connection must split into two handles. A
-        // stream that cannot be split refuses the handshake; the client
-        // falls back to the legacy protocol on a fresh connection.
+        // stream that cannot be split cannot be served.
         let writer = match conn.try_clone_writer() {
             Ok(writer) => Arc::new(Mutex::new(writer)),
             Err(e) => {
-                self.write_v7_error(
-                    &mut conn,
-                    CONTROL_TAG,
-                    FaultKind::Engine,
-                    format!("connection cannot be split for pipelining: {e}"),
-                );
+                let message = format!("connection cannot be split for pipelining: {e}");
+                self.write_fault(&Mutex::new(conn), CONTROL_TAG, FaultKind::Engine, message);
                 return;
             }
         };
-        let agreed = hello.max_version.min(WIRE_V7);
+        let Some(payload) = self.next_frame(&mut conn, &writer) else {
+            return;
+        };
+        // Only a v7 Hello opens a conversation; anything else (another
+        // protocol revision, a request before the handshake) is refused
+        // and the connection closed — there is no downgrade.
+        let refusal = match Hello::decode(&payload) {
+            Ok(hello) if hello.max_version >= WIRE_V7 => Ok(hello),
+            Ok(hello) => Err(format!(
+                "client speaks protocol v{} at most; this server speaks v{WIRE_V7} only",
+                hello.max_version
+            )),
+            Err(e) => Err(format!("expected a v{WIRE_V7} Hello: {e}")),
+        };
+        let hello = match refusal {
+            Ok(hello) => hello,
+            Err(message) => {
+                self.write_fault(&writer, CONTROL_TAG, FaultKind::BadRequest, message);
+                return;
+            }
+        };
         let ack = HelloAck {
-            version: agreed,
+            version: WIRE_V7,
             window: self.config.pipeline_window.max(1) as u64,
         };
-        {
-            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-            if write_frame(&mut *w, &ack.encode()).is_err() {
-                return;
-            }
+        if self.write(&writer, &ack.encode()).is_err() {
+            return;
         }
-        self.state.obs.incr(paq_obs::names::SERVER_HANDSHAKES);
-        if agreed < WIRE_V7 {
-            // Negotiated down: the rest of the connection speaks the
-            // legacy request/response protocol.
-            drop(writer);
-            return self.serve_legacy(conn, None);
-        }
+        self.state.obs.incr(names::SERVER_HANDSHAKES);
         // Client identity for per-client quotas: self-declared (so a
         // client's connections share one quota), or a synthetic id
         // counting down from the top so it cannot collide with declared
@@ -815,46 +668,19 @@ impl Server {
         };
         let class = hello.class;
         let gate = Arc::new(WindowGate::new(self.config.pipeline_window));
+        // One session per connection; its config is the base every
+        // request's overrides apply to.
         let session = self.db.session();
-        loop {
-            let read_start = Instant::now();
-            let payload = match self.read_request_frame(&mut conn) {
-                Ok(Some(payload)) => {
-                    self.state
-                        .obs
-                        .observe("server.frame.read", read_start.elapsed());
-                    payload
-                }
-                // Peer closed, shutdown, or idle timeout: stop reading.
-                // Work already admitted still completes — executors hold
-                // their own writer handles.
-                Ok(None) => return,
-                Err(WireError::DeadlineExpired { elapsed }) => {
-                    self.state.frame_timeouts.fetch_add(1, Ordering::AcqRel);
-                    self.write_v7_fault(
-                        &writer,
-                        CONTROL_TAG,
-                        FaultKind::Timeout,
-                        format!("request frame still incomplete after {elapsed:?}"),
-                    );
-                    return;
-                }
-                Err(e) => {
-                    self.write_v7_fault(
-                        &writer,
-                        CONTROL_TAG,
-                        FaultKind::BadRequest,
-                        format!("unreadable frame: {e}"),
-                    );
-                    return;
-                }
-            };
+        // Peer closed, shutdown, idle timeout, or a broken frame: stop
+        // reading. Work already admitted still completes — executors
+        // hold their own writer handles.
+        while let Some(payload) = self.next_frame(&mut conn, &writer) {
             let decode_start = Instant::now();
             let (tag, request) = match wire7::decode_request_v7(&payload) {
                 Ok(decoded) => {
                     self.state
                         .obs
-                        .observe("server.request.decode", decode_start.elapsed());
+                        .observe(names::SERVER_REQUEST_DECODE, decode_start.elapsed());
                     decoded
                 }
                 // Well-delimited but undecodable: the stream is still in
@@ -863,7 +689,7 @@ impl Server {
                 Err(e) => {
                     let tag = wire7::request_frame_tag(&payload).unwrap_or(CONTROL_TAG);
                     self.state.served.fetch_add(1, Ordering::AcqRel);
-                    self.write_v7_fault(
+                    self.write_fault(
                         &writer,
                         tag,
                         FaultKind::BadRequest,
@@ -893,13 +719,47 @@ impl Server {
             // response ahead of anything this reader does next, and a client
             // snapshotting metrics right after that response must already
             // see the request counted.
-            self.state.obs.incr(paq_obs::names::SERVER_PIPELINED);
+            self.state.obs.incr(names::SERVER_PIPELINED);
             match sched.push(class, client, work) {
                 PushOutcome::Admitted => {}
                 PushOutcome::ShedIncoming(work) => self.shed_work(work),
                 PushOutcome::Evicted(victim) => self.shed_work(victim),
             }
         }
+    }
+
+    /// Read the connection's next frame, timing it. `None` ends the
+    /// connection: the peer closed, shutdown or the idle timeout fired,
+    /// or the frame was unreadable — a started frame that stalled past
+    /// the deadline, or broken framing — which is answered with a typed
+    /// fault on the [`CONTROL_TAG`] first (the stream is mid-frame or
+    /// out of sync, unusable for another request).
+    //
+    // The read histogram covers the whole wait for a frame, so for all
+    // but the first request on a connection it is dominated by client
+    // think-time — it exists to expose slow or stalling senders, not
+    // server work (that's `server.handle`).
+    fn next_frame<C: Connection>(&self, conn: &mut C, writer: &Mutex<C>) -> Option<Vec<u8>> {
+        let read_start = Instant::now();
+        let (kind, message) = match self.read_request_frame(conn) {
+            Ok(Some(payload)) => {
+                self.state
+                    .obs
+                    .observe(names::SERVER_FRAME_READ, read_start.elapsed());
+                return Some(payload);
+            }
+            Ok(None) => return None,
+            Err(WireError::DeadlineExpired { elapsed }) => {
+                self.state.frame_timeouts.fetch_add(1, Ordering::AcqRel);
+                (
+                    FaultKind::Timeout,
+                    format!("request frame still incomplete after {elapsed:?}"),
+                )
+            }
+            Err(e) => (FaultKind::BadRequest, format!("unreadable frame: {e}")),
+        };
+        self.write_fault(writer, CONTROL_TAG, kind, message);
+        None
     }
 
     /// Answer a shed (or evicted) pipelined request with a typed
@@ -911,11 +771,11 @@ impl Server {
     fn shed_work<C: Connection>(&self, work: Work<C>) {
         self.state.shed_requests.fetch_add(1, Ordering::AcqRel);
         self.state.served.fetch_add(1, Ordering::AcqRel);
-        self.state.obs.incr(paq_obs::names::SERVER_SHED);
+        self.state.obs.incr(names::SERVER_SHED);
         self.state.obs.incr(match work.class {
-            ShedClass::Interactive => paq_obs::names::SERVER_SHED_INTERACTIVE,
-            ShedClass::Normal => paq_obs::names::SERVER_SHED_NORMAL,
-            ShedClass::Bulk => paq_obs::names::SERVER_SHED_BULK,
+            ShedClass::Interactive => names::SERVER_SHED_INTERACTIVE,
+            ShedClass::Normal => names::SERVER_SHED_NORMAL,
+            ShedClass::Bulk => names::SERVER_SHED_BULK,
         });
         let response = Response::Busy {
             in_flight: self.state.in_flight.load(Ordering::Acquire) as u64,
@@ -923,36 +783,26 @@ impl Server {
             retry_after_ms: self.config.busy_retry_after.as_millis() as u64,
             shed_class: Some(work.class),
         };
-        let frame = encode_response_v7(work.tag, &response);
-        let mut w = work.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = write_frame(&mut *w, &frame);
-        drop(w);
+        let _ = self.write(&work.writer, &encode_response_v7(work.tag, &response));
         work.gate.release();
     }
 
-    /// Best-effort v7 fault on a bare (unsplit) connection.
-    fn write_v7_error<C: Connection>(
-        &self,
-        conn: &mut C,
-        tag: u32,
-        kind: FaultKind,
-        message: String,
-    ) {
-        let frame = encode_response_v7(tag, &Response::Error(Fault { kind, message }));
-        let _ = write_frame(conn, &frame);
+    /// Write one frame through a shared writer handle.
+    fn write<C: Connection>(&self, writer: &Mutex<C>, payload: &[u8]) -> WireResult<()> {
+        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+        write_frame(&mut *w, payload)
     }
 
-    /// Best-effort v7 fault through a shared writer handle.
-    fn write_v7_fault<C: Connection>(
+    /// Best-effort tagged fault through a shared writer handle.
+    fn write_fault<C: Connection>(
         &self,
-        writer: &Arc<Mutex<C>>,
+        writer: &Mutex<C>,
         tag: u32,
         kind: FaultKind,
         message: String,
     ) {
         let frame = encode_response_v7(tag, &Response::Error(Fault { kind, message }));
-        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = write_frame(&mut *w, &frame);
+        let _ = self.write(writer, &frame);
     }
 
     /// Execute one admitted pipelined request on an executor thread and
@@ -972,7 +822,7 @@ impl Server {
         } = work;
         self.state
             .obs
-            .observe(paq_obs::names::SERVER_FAIR_QUEUE_WAIT, enqueued.elapsed());
+            .observe(names::SERVER_FAIR_QUEUE_WAIT, enqueued.elapsed());
         let handle_start = Instant::now();
         let response = match catch_unwind(AssertUnwindSafe(|| self.dispatch(&session, request))) {
             Ok(response) => response,
@@ -984,23 +834,19 @@ impl Server {
                 })
             }
         };
-        self.state.obs.incr("server.requests");
+        self.state.obs.incr(names::SERVER_REQUESTS);
         self.state
             .obs
-            .observe("server.handle", handle_start.elapsed());
+            .observe(names::SERVER_HANDLE, handle_start.elapsed());
         self.state.served.fetch_add(1, Ordering::AcqRel);
         let write_start = Instant::now();
-        let frame = encode_response_v7(tag, &response);
-        {
-            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-            // A failed write means the client is gone; its remaining
-            // responses fail the same way and the reader has already
-            // seen the close.
-            let _ = write_frame(&mut *w, &frame);
-        }
+        // A failed write means the client is gone; its remaining
+        // responses fail the same way and the reader has already seen
+        // the close.
+        let _ = self.write(&writer, &encode_response_v7(tag, &response));
         self.state
             .obs
-            .observe("server.response.write", write_start.elapsed());
+            .observe(names::SERVER_RESPONSE_WRITE, write_start.elapsed());
         gate.release();
         sched.finish(client);
     }

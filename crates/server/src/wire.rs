@@ -1,25 +1,18 @@
-//! The wire protocol: length-prefixed frames with a hand-rolled binary
-//! encoding, defined over generic [`io::Read`] / [`io::Write`] streams.
+//! The wire vocabulary and its framing: length-prefixed frames, the
+//! primitive encodings, and the typed [`Request`] / [`Response`]
+//! values that [`crate::wire7`] puts inside them.
 //!
 //! # Frame layout
 //!
 //! ```text
-//! +----------------+---------+-----+------------------+
-//! | length: u32 BE | version | tag | body (tag-typed) |
-//! +----------------+---------+-----+------------------+
-//!        4 bytes      1 byte  1 byte   length − 2 bytes
+//! +----------------+-----------------------------------+
+//! | length: u32 BE | payload: one v7 frame (see wire7) |
+//! +----------------+-----------------------------------+
 //! ```
 //!
-//! * The length prefix counts the payload (version + tag + body), not
-//!   itself. Frames above [`MAX_FRAME`] are rejected *before* the
-//!   payload is read, so a broken or hostile peer cannot make the
-//!   server buffer without bound.
-//! * `version` is [`WIRE_VERSION`]; a mismatch is a decode error (the
-//!   protocol carries no negotiation — both ends come from this
-//!   workspace).
-//! * `tag` selects the [`Request`] or [`Response`] variant; the decoder
-//!   rejects unknown tags and trailing bytes, so a frame decodes to
-//!   exactly one value or a typed [`WireError`].
+//! The length prefix counts the payload, not itself. Frames above
+//! [`MAX_FRAME`] are rejected *before* the payload is read, so a broken
+//! or hostile peer cannot make the server buffer without bound.
 //!
 //! # Primitive encodings
 //!
@@ -45,29 +38,6 @@ use paq_obs::{HistogramSnapshot, RegistrySnapshot};
 use paq_relational::{ColumnDef, DataType, Schema, Table, Value};
 
 use crate::error::{WireError, WireResult};
-
-/// Protocol revision spoken by this build. Bumped to 2 when the
-/// cost-based router landed: `ExecOptions` gained `router_enabled`,
-/// `Executed` gained the router verdict (decision source + predicted
-/// per-strategy costs), and `Stats` gained the shared router counters.
-/// Bumped to 3 when durable storage landed: `Stats` gained the optional
-/// durability counters (WAL/snapshot/recovery) and [`FaultKind`] gained
-/// `Storage` for WAL-append and snapshot failures.
-/// Bumped to 4 for the robustness layer: `ExecOptions` gained
-/// `deadline_ms` (per-request budget propagated into the REFINE solve
-/// budget), `RegisterTable`/`AppendRow` gained an optional idempotency
-/// `token` (the server dedupes acked tokens so a retry after a lost ack
-/// is safe), `Busy` gained a `retry_after_ms` pacing hint, and
-/// [`FaultKind`] gained `Timeout` for expired deadlines.
-/// Bumped to 5 when acked idempotency tokens became durable: the
-/// `Stats` durability counters gained `recovered_acks` (tokens restored
-/// from the store at open).
-/// Bumped to 6 when the observability layer landed: a new
-/// [`Request::Metrics`] returns [`Response::Metrics`] — the full
-/// server-side metrics registry snapshot (counters, gauges, and
-/// latency histograms with their log2 buckets, so clients recompute
-/// p50/p90/p99 or merge snapshots across servers).
-pub const WIRE_VERSION: u8 = 6;
 
 /// Hard cap on one frame's payload (32 MiB). Large enough for a
 /// multi-million-row `RegisterTable`, small enough that a corrupt
@@ -130,8 +100,8 @@ pub fn read_frame_with<R: Read>(
 ///
 /// The deadline is only enforceable when the stream has a read timeout
 /// configured (each timeout tick is a checkpoint); on a blocking stream
-/// with no timeout a silent peer still blocks the read. `None` keeps
-/// the legacy never-abandon behavior.
+/// with no timeout a silent peer still blocks the read. `None` never
+/// abandons a started frame.
 pub fn read_frame_deadline<R: Read>(
     r: &mut R,
     mut on_idle: impl FnMut() -> bool,
@@ -419,31 +389,6 @@ pub(crate) fn get_schema(c: &mut Cursor<'_>) -> WireResult<Schema> {
     Ok(Schema::new(cols))
 }
 
-pub(crate) fn put_table(out: &mut Vec<u8>, table: &Table) {
-    put_schema(out, table.schema());
-    put_u64(out, table.num_rows() as u64);
-    for i in 0..table.num_rows() {
-        for v in table.row(i) {
-            put_value(out, &v);
-        }
-    }
-}
-
-pub(crate) fn get_table(c: &mut Cursor<'_>) -> WireResult<Table> {
-    let schema = get_schema(c)?;
-    let rows = c.count(schema.arity())?;
-    let mut table = Table::new(schema);
-    for _ in 0..rows {
-        let row = (0..table.schema().arity())
-            .map(|_| get_value(c))
-            .collect::<WireResult<Vec<_>>>()?;
-        table
-            .push_row(row)
-            .map_err(|e| WireError::Malformed(format!("row rejected by schema: {e}")))?;
-    }
-    Ok(table)
-}
-
 pub(crate) fn put_values(out: &mut Vec<u8>, row: &[Value]) {
     put_u64(out, row.len() as u64);
     for v in row {
@@ -611,124 +556,6 @@ pub enum Request {
     /// gauges, latency histograms — including `server.queue_wait` and
     /// `server.handle`).
     Metrics,
-}
-
-/// Encode a request's kind byte + body with the **row-major** (v6)
-/// table codec. Shared verbatim by the legacy framing and — with the
-/// `RegisterTable` arm swapped for the columnar codec — by the v7
-/// framing in [`crate::wire7`].
-pub(crate) fn put_request_body(out: &mut Vec<u8>, request: &Request) {
-    match request {
-        Request::Execute {
-            relation,
-            paql,
-            options,
-        } => {
-            out.push(0);
-            put_string(out, relation);
-            put_string(out, paql);
-            put_options(out, options);
-        }
-        Request::RegisterTable { name, table, token } => {
-            out.push(1);
-            put_string(out, name);
-            put_table(out, table);
-            put_opt_u64(out, *token);
-        }
-        Request::AppendRow { name, row, token } => {
-            out.push(2);
-            put_string(out, name);
-            put_values(out, row);
-            put_opt_u64(out, *token);
-        }
-        Request::Explain {
-            relation,
-            paql,
-            options,
-        } => {
-            out.push(3);
-            put_string(out, relation);
-            put_string(out, paql);
-            put_options(out, options);
-        }
-        Request::Stats => out.push(4),
-        Request::Shutdown => out.push(5),
-        Request::Metrics => out.push(6),
-    }
-}
-
-/// Decode a request body given its already-consumed kind byte
-/// (counterpart of [`put_request_body`]).
-pub(crate) fn decode_request_body(c: &mut Cursor<'_>, kind: u8) -> WireResult<Request> {
-    Ok(match kind {
-        0 => Request::Execute {
-            relation: c.string()?,
-            paql: c.string()?,
-            options: get_options(c)?,
-        },
-        1 => Request::RegisterTable {
-            name: c.string()?,
-            table: get_table(c)?,
-            token: get_opt_u64(c)?,
-        },
-        2 => Request::AppendRow {
-            name: c.string()?,
-            row: get_values(c)?,
-            token: get_opt_u64(c)?,
-        },
-        3 => Request::Explain {
-            relation: c.string()?,
-            paql: c.string()?,
-            options: get_options(c)?,
-        },
-        4 => Request::Stats,
-        5 => Request::Shutdown,
-        6 => Request::Metrics,
-        tag => return Err(WireError::Malformed(format!("request tag {tag}"))),
-    })
-}
-
-impl Request {
-    /// Encode into a standalone payload (version + tag + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![WIRE_VERSION];
-        put_request_body(&mut out, self);
-        out
-    }
-
-    /// Decode a payload produced by [`Request::encode`].
-    pub fn decode(payload: &[u8]) -> WireResult<Request> {
-        let mut c = Cursor::new(payload);
-        check_version(&mut c)?;
-        let kind = c.u8()?;
-        let req = decode_request_body(&mut c, kind)?;
-        c.finish()?;
-        Ok(req)
-    }
-
-    /// Write this request as one frame.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> WireResult<()> {
-        write_frame(w, &self.encode())
-    }
-
-    /// Read one request frame; `Ok(None)` when the peer closed cleanly.
-    pub fn read_from<R: Read>(r: &mut R) -> WireResult<Option<Request>> {
-        match read_frame(r)? {
-            Some(payload) => Ok(Some(Request::decode(&payload)?)),
-            None => Ok(None),
-        }
-    }
-}
-
-fn check_version(c: &mut Cursor<'_>) -> WireResult<()> {
-    let got = c.u8()?;
-    if got != WIRE_VERSION {
-        return Err(WireError::Version {
-            got,
-            want: WIRE_VERSION,
-        });
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1217,8 +1044,9 @@ pub enum Response {
     /// Acknowledges a [`Request::Shutdown`]; the server drains and
     /// stops.
     ShuttingDown,
-    /// Typed backpressure: the in-flight bound is reached and this
-    /// connection was rejected rather than queued without bound.
+    /// Typed backpressure: the connection bound was reached at accept
+    /// time, or admission control shed this request, rather than
+    /// queueing it without bound.
     Busy {
         /// Connections in flight when the rejection happened.
         in_flight: u64,
@@ -1229,9 +1057,8 @@ pub enum Response {
         /// exponential backoff schedule.
         retry_after_ms: u64,
         /// Which admission class was shed, when the rejection came from
-        /// the v7 request-level fairness admission (`None` for the
-        /// connection-level bound, and always `None` on legacy frames —
-        /// the v6 codec does not carry this field).
+        /// request-level fairness admission (`None` for the accept-time
+        /// connection bound).
         shed_class: Option<ShedClass>,
     },
     /// Result of a [`Request::Metrics`]: the server's registry
@@ -1242,9 +1069,8 @@ pub enum Response {
     Error(Fault),
 }
 
-/// Encode everything of an `Executed` body *after* the member pairs —
-/// the part shared byte-for-byte between the row-major pair list of the
-/// legacy codec and the width-packed pair columns of the v7 codec.
+/// Encode everything of an `Executed` body *after* the member pairs
+/// (which [`crate::wire7`] ships as width-packed columns).
 pub(crate) fn put_execution_after_pairs(out: &mut Vec<u8>, exec: &RemoteExecution) {
     put_string(out, &exec.relation);
     put_u64(out, exec.rows);
@@ -1329,7 +1155,7 @@ pub(crate) fn get_execution_after_pairs(
     })
 }
 
-/// Encode a `Stats` body (shared verbatim by the legacy and v7 codecs).
+/// Encode a `Stats` body.
 pub(crate) fn put_stats_body(out: &mut Vec<u8>, stats: &StatsReply) {
     put_u64(out, stats.tables.len() as u64);
     for t in &stats.tables {
@@ -1418,112 +1244,12 @@ pub(crate) fn get_stats_body(c: &mut Cursor<'_>) -> WireResult<StatsReply> {
     })
 }
 
-impl Response {
-    /// Encode into a standalone payload (version + tag + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![WIRE_VERSION];
-        match self {
-            Response::Executed(exec) => {
-                out.push(0);
-                put_u64(&mut out, exec.pairs.len() as u64);
-                for &(row, mult) in &exec.pairs {
-                    put_u64(&mut out, row);
-                    put_u64(&mut out, mult);
-                }
-                put_execution_after_pairs(&mut out, exec);
-            }
-            Response::Registered { version } => {
-                out.push(1);
-                put_u64(&mut out, *version);
-            }
-            Response::Appended { version } => {
-                out.push(2);
-                put_u64(&mut out, *version);
-            }
-            Response::Explained { text } => {
-                out.push(3);
-                put_string(&mut out, text);
-            }
-            Response::Stats(stats) => {
-                out.push(4);
-                put_stats_body(&mut out, stats);
-            }
-            Response::ShuttingDown => out.push(5),
-            // The legacy codec does not carry `shed_class` — v6 peers
-            // decode these bytes unchanged; the class travels only in
-            // v7 frames.
-            Response::Busy {
-                in_flight,
-                max_in_flight,
-                retry_after_ms,
-                shed_class: _,
-            } => {
-                out.push(6);
-                put_u64(&mut out, *in_flight);
-                put_u64(&mut out, *max_in_flight);
-                put_u64(&mut out, *retry_after_ms);
-            }
-            Response::Error(fault) => {
-                out.push(7);
-                put_fault(&mut out, fault);
-            }
-            Response::Metrics(snapshot) => {
-                out.push(8);
-                put_registry_snapshot(&mut out, snapshot);
-            }
-        }
-        out
-    }
-
-    /// Decode a payload produced by [`Response::encode`].
-    pub fn decode(payload: &[u8]) -> WireResult<Response> {
-        let mut c = Cursor::new(payload);
-        check_version(&mut c)?;
-        let resp = match c.u8()? {
-            0 => {
-                let n = c.count(16)?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pairs.push((c.u64()?, c.u64()?));
-                }
-                Response::Executed(Box::new(get_execution_after_pairs(&mut c, pairs)?))
-            }
-            1 => Response::Registered { version: c.u64()? },
-            2 => Response::Appended { version: c.u64()? },
-            3 => Response::Explained { text: c.string()? },
-            4 => Response::Stats(get_stats_body(&mut c)?),
-            5 => Response::ShuttingDown,
-            6 => Response::Busy {
-                in_flight: c.u64()?,
-                max_in_flight: c.u64()?,
-                retry_after_ms: c.u64()?,
-                shed_class: None,
-            },
-            7 => Response::Error(get_fault(&mut c)?),
-            8 => Response::Metrics(get_registry_snapshot(&mut c)?),
-            tag => return Err(WireError::Malformed(format!("response tag {tag}"))),
-        };
-        c.finish()?;
-        Ok(resp)
-    }
-
-    /// Write this response as one frame.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> WireResult<()> {
-        write_frame(w, &self.encode())
-    }
-
-    /// Read one response frame; `Ok(None)` when the peer closed cleanly.
-    pub fn read_from<R: Read>(r: &mut R) -> WireResult<Option<Response>> {
-        match read_frame(r)? {
-            Some(payload) => Ok(Some(Response::decode(&payload)?)),
-            None => Ok(None),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire7::{
+        decode_request_v7, decode_response_v7, encode_request_v7, encode_response_v7,
+    };
 
     #[test]
     fn frame_round_trip_over_a_buffer() {
@@ -1586,12 +1312,12 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        let mut payload = Request::Stats.encode();
-        payload[0] = WIRE_VERSION + 1;
-        match Request::decode(&payload) {
+        let mut payload = encode_request_v7(0, &Request::Stats);
+        payload[0] = 6;
+        match decode_request_v7(&payload) {
             Err(WireError::Version { got, want }) => {
-                assert_eq!(got, WIRE_VERSION + 1);
-                assert_eq!(want, WIRE_VERSION);
+                assert_eq!(got, 6);
+                assert_eq!(want, crate::wire7::WIRE_V7);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1599,9 +1325,9 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut payload = Request::Stats.encode();
+        let mut payload = encode_request_v7(0, &Request::Stats);
         payload.push(0);
-        match Request::decode(&payload) {
+        match decode_request_v7(&payload) {
             Err(WireError::Malformed(d)) => assert!(d.contains("trailing"), "{d}"),
             other => panic!("unexpected {other:?}"),
         }
@@ -1609,9 +1335,9 @@ mod tests {
 
     #[test]
     fn metrics_request_round_trips() {
-        let payload = Request::Metrics.encode();
-        match Request::decode(&payload).unwrap() {
-            Request::Metrics => {}
+        let payload = encode_request_v7(3, &Request::Metrics);
+        match decode_request_v7(&payload).unwrap() {
+            (3, Request::Metrics) => {}
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1623,18 +1349,18 @@ mod tests {
         registry.add("solver.nodes", 42);
         registry.set_gauge("db.cache.entries", -3);
         for n in [1u64, 5, 900, 70_000, 70_000] {
-            registry.observe_nanos("server.handle", n);
+            registry.observe_nanos(paq_obs::names::SERVER_HANDLE, n);
         }
         let snapshot = registry.snapshot();
-        let payload = Response::Metrics(snapshot.clone()).encode();
-        match Response::decode(&payload).unwrap() {
-            Response::Metrics(decoded) => {
+        let payload = encode_response_v7(0, &Response::Metrics(snapshot.clone()));
+        match decode_response_v7(&payload).unwrap() {
+            (_, Response::Metrics(decoded)) => {
                 assert_eq!(decoded, snapshot);
                 let (_, handle) = decoded
                     .histograms
                     .iter()
-                    .find(|(name, _)| name == "server.handle")
-                    .expect("server.handle histogram survived the wire");
+                    .find(|(name, _)| name == paq_obs::names::SERVER_HANDLE)
+                    .expect("the handle histogram survived the wire");
                 assert_eq!(handle.count, 5);
                 assert_eq!(handle.min, 1);
                 assert_eq!(handle.max, 70_000);
@@ -1645,18 +1371,26 @@ mod tests {
 
     #[test]
     fn metrics_response_empty_snapshot_round_trips() {
-        let payload = Response::Metrics(paq_obs::RegistrySnapshot::default()).encode();
-        match Response::decode(&payload).unwrap() {
-            Response::Metrics(decoded) => assert_eq!(decoded, paq_obs::RegistrySnapshot::default()),
+        let payload = encode_response_v7(0, &Response::Metrics(RegistrySnapshot::default()));
+        match decode_response_v7(&payload).unwrap() {
+            (_, Response::Metrics(decoded)) => assert_eq!(decoded, RegistrySnapshot::default()),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A v7 response header (version, frame kind, tag 0) followed by
+    /// `kind`, ready for a hand-crafted body.
+    fn response_header(kind: u8) -> Vec<u8> {
+        let mut out = encode_response_v7(0, &Response::ShuttingDown);
+        *out.last_mut().unwrap() = kind;
+        out
     }
 
     #[test]
     fn metrics_response_out_of_range_bucket_rejected() {
         // Hand-craft a Metrics response whose single histogram carries
         // a bucket index past the fixed bucket array.
-        let mut out = vec![WIRE_VERSION, 8];
+        let mut out = response_header(8);
         put_u64(&mut out, 0); // counters
         put_u64(&mut out, 0); // gauges
         put_u64(&mut out, 1); // histograms
@@ -1668,7 +1402,7 @@ mod tests {
         put_u64(&mut out, 1); // buckets
         out.push(paq_obs::histogram::BUCKET_COUNT as u8);
         put_u64(&mut out, 1);
-        match Response::decode(&out) {
+        match decode_response_v7(&out) {
             Err(WireError::Malformed(d)) => assert!(d.contains("bucket"), "{d}"),
             other => panic!("unexpected {other:?}"),
         }
@@ -1677,10 +1411,11 @@ mod tests {
     #[test]
     fn corrupt_sequence_count_rejected_without_allocation() {
         // An AppendRow whose row count claims u64::MAX elements.
-        let mut out = vec![WIRE_VERSION, 2];
+        let mut out = encode_request_v7(0, &Request::Stats);
+        *out.last_mut().unwrap() = 2;
         put_string(&mut out, "T");
         put_u64(&mut out, u64::MAX);
-        match Request::decode(&out) {
+        match decode_request_v7(&out) {
             Err(WireError::Malformed(d)) => assert!(d.contains("count"), "{d}"),
             other => panic!("unexpected {other:?}"),
         }

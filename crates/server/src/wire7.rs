@@ -1,13 +1,17 @@
-//! Wire protocol **v7**: tagged pipelined frames, the version
-//! handshake, and the columnar table codec.
+//! Wire protocol **v7**: the one protocol this server speaks — tagged
+//! pipelined frames, the version handshake, and the columnar table
+//! codec.
 //!
-//! # Why a second framing
+//! Both ends of every connection are built from this workspace (the
+//! [`Client`](crate::Client), the server, and the benchmark driver all
+//! link this module), so there is no older peer to stay compatible
+//! with: a connection that does not open with a v7 [`Hello`] is refused
+//! with a typed fault and closed.
 //!
-//! The legacy codec ([`crate::wire`]) is strict request/response: one
-//! unframed-by-tag payload per direction, one outstanding request per
-//! connection. v7 keeps the same outer transport (u32 BE length prefix,
-//! [`MAX_FRAME`] cap) and the same body primitives, but wraps every
-//! message in a typed v7 frame:
+//! # Frames
+//!
+//! Every payload inside the [length-prefixed frame](crate::wire) opens
+//! with the version byte and a frame kind:
 //!
 //! ```text
 //! payload := [ 7u8 | frame_kind u8 | frame-specific bytes ]
@@ -18,35 +22,30 @@
 //! frame_kind 3  Response    [ tag u32 LE | response kind u8 | body ]
 //! ```
 //!
-//! The first byte doubles as the version discriminator: a legacy peer's
-//! first payload byte is its wire version (≤ 6), so the server decides
-//! legacy-vs-v7 per connection from one byte without consuming extra
-//! frames. A v7 conversation *must* open with `Hello`/`HelloAck`; after
-//! the handshake every request carries a client-chosen `tag` and its
+//! A conversation *must* open with `Hello`/`HelloAck`; after the
+//! handshake every request carries a client-chosen `tag` and its
 //! response echoes that tag, so responses may complete out of order.
 //!
-//! # Columnar bodies
+//! # Bodies
 //!
-//! Request and response bodies are byte-identical to the legacy codec
-//! with two exceptions engineered for bulk transfer:
+//! Bodies are built from the [`crate::wire`] primitives, with three
+//! encodings engineered for bulk transfer:
 //!
-//! * `RegisterTable` ships its table columnar:
-//!   per-column typed chunks of at most [`CHUNK_ROWS`] rows, each with
-//!   a null bitmap, a crc32 of the chunk body, and width-packed
-//!   delta-encoded integers — strictly smaller than the row-major
-//!   `Value` stream for any non-trivial table.
-//! * `Executed` ships its member pairs as two width-packed u64 columns
-//!   instead of interleaved row/multiplicity pairs.
-//! * `Busy` additionally carries the shed admission class.
+//! * `RegisterTable` ships its table columnar: per-column typed chunks
+//!   of at most [`CHUNK_ROWS`] rows, each with a null bitmap, a crc32
+//!   of the chunk body, width-packed delta-encoded integers, and only
+//!   the non-null `Float` and `Str` values.
+//! * `Executed` ships its member pairs as two width-packed u64 columns.
+//! * `Busy` carries the shed admission class.
 //!
 //! # Tags
 //!
 //! Tags are opaque to the server: it never interprets them beyond
 //! echoing. [`CONTROL_TAG`] (`u32::MAX`) is reserved for
-//! connection-level responses that cannot be matched to a request (a
-//! frame whose body failed to decode past the tag, or an admission
-//! rejection raced with connection teardown); clients must not issue
-//! it.
+//! connection-level responses that cannot be matched to a request (the
+//! accept-time `Busy`, a refused handshake, or a frame that could not be
+//! read or whose body failed to decode past the tag); clients must not
+//! issue it.
 
 use std::io::{Read, Write};
 
@@ -54,10 +53,10 @@ use paq_relational::{Column, ColumnChunk, Table};
 use paq_store::codec::crc32;
 
 use crate::error::{WireError, WireResult};
-use crate::wire::{self, Cursor, Request, Response, ShedClass, MAX_FRAME};
+use crate::wire::{self, Cursor, Request, Response, ShedClass};
 
-/// Protocol revision introduced by this module: pipelined tagged
-/// frames, columnar table transfer, fairness-aware admission.
+/// The protocol revision this build speaks: pipelined tagged frames,
+/// columnar table transfer, fairness-aware admission.
 pub const WIRE_V7: u8 = 7;
 
 /// Rows per columnar chunk. Chunks bound the unit of crc verification
@@ -84,9 +83,8 @@ pub const KIND_RESPONSE: u8 = 3;
 /// The first frame of a v7 conversation, client → server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
-    /// Highest protocol version the client speaks. The server answers
-    /// with `min(max_version, 7)`; an answer below 7 tells the client
-    /// to fall back to the legacy codec.
+    /// Highest protocol version the client speaks. The server refuses a
+    /// value below [`WIRE_V7`] with a typed `BadRequest` fault.
     pub max_version: u8,
     /// Client-chosen identity for per-client admission quotas. `0`
     /// asks the server to assign one (each anonymous connection is its
@@ -127,7 +125,7 @@ impl Hello {
 /// The server's answer to [`Hello`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelloAck {
-    /// The agreed protocol version: `min(client max, 7)`.
+    /// The agreed protocol version: always [`WIRE_V7`].
     pub version: u8,
     /// The server's per-connection pipeline window: at most this many
     /// requests may be in flight on the connection at once. A hint for
@@ -187,19 +185,46 @@ fn check_v7(c: &mut Cursor<'_>, want_kind: u8) -> WireResult<()> {
 // Tagged requests and responses
 // ---------------------------------------------------------------------
 
-/// Encode a tagged v7 request. Bodies match the legacy codec except
-/// `RegisterTable`, whose table travels columnar.
+/// Encode a tagged v7 request.
 pub fn encode_request_v7(tag: u32, request: &Request) -> Vec<u8> {
     let mut out = vec![WIRE_V7, KIND_REQUEST];
     out.extend_from_slice(&tag.to_le_bytes());
     match request {
+        Request::Execute {
+            relation,
+            paql,
+            options,
+        } => {
+            out.push(0);
+            wire::put_string(&mut out, relation);
+            wire::put_string(&mut out, paql);
+            wire::put_options(&mut out, options);
+        }
         Request::RegisterTable { name, table, token } => {
             out.push(1);
             wire::put_string(&mut out, name);
             put_table_columnar(&mut out, table);
             wire::put_opt_u64(&mut out, *token);
         }
-        other => wire::put_request_body(&mut out, other),
+        Request::AppendRow { name, row, token } => {
+            out.push(2);
+            wire::put_string(&mut out, name);
+            wire::put_values(&mut out, row);
+            wire::put_opt_u64(&mut out, *token);
+        }
+        Request::Explain {
+            relation,
+            paql,
+            options,
+        } => {
+            out.push(3);
+            wire::put_string(&mut out, relation);
+            wire::put_string(&mut out, paql);
+            wire::put_options(&mut out, options);
+        }
+        Request::Stats => out.push(4),
+        Request::Shutdown => out.push(5),
+        Request::Metrics => out.push(6),
     }
     out
 }
@@ -209,16 +234,32 @@ pub fn encode_request_v7(tag: u32, request: &Request) -> Vec<u8> {
 pub fn decode_request_v7(payload: &[u8]) -> WireResult<(u32, Request)> {
     let mut c = Cursor::new(payload);
     check_v7(&mut c, KIND_REQUEST)?;
-    let tag = get_tag(&mut c)?;
-    let kind = c.u8()?;
-    let request = if kind == 1 {
-        Request::RegisterTable {
+    let tag = get_u32(&mut c)?;
+    let request = match c.u8()? {
+        0 => Request::Execute {
+            relation: c.string()?,
+            paql: c.string()?,
+            options: wire::get_options(&mut c)?,
+        },
+        1 => Request::RegisterTable {
             name: c.string()?,
             table: get_table_columnar(&mut c)?,
             token: wire::get_opt_u64(&mut c)?,
-        }
-    } else {
-        wire::decode_request_body(&mut c, kind)?
+        },
+        2 => Request::AppendRow {
+            name: c.string()?,
+            row: wire::get_values(&mut c)?,
+            token: wire::get_opt_u64(&mut c)?,
+        },
+        3 => Request::Explain {
+            relation: c.string()?,
+            paql: c.string()?,
+            options: wire::get_options(&mut c)?,
+        },
+        4 => Request::Stats,
+        5 => Request::Shutdown,
+        6 => Request::Metrics,
+        kind => return Err(WireError::Malformed(format!("request tag {kind}"))),
     };
     c.finish()?;
     Ok((tag, request))
@@ -232,12 +273,11 @@ pub fn decode_request_v7(payload: &[u8]) -> WireResult<(u32, Request)> {
 pub(crate) fn request_frame_tag(payload: &[u8]) -> WireResult<u32> {
     let mut c = Cursor::new(payload);
     check_v7(&mut c, KIND_REQUEST)?;
-    get_tag(&mut c)
+    get_u32(&mut c)
 }
 
-/// Encode a tagged v7 response. Bodies match the legacy codec except
-/// `Executed` (member pairs travel as two width-packed u64 columns) and
-/// `Busy` (carries the shed admission class).
+/// Encode a tagged v7 response. `Executed` member pairs travel as two
+/// width-packed u64 columns.
 pub fn encode_response_v7(tag: u32, response: &Response) -> Vec<u8> {
     let mut out = vec![WIRE_V7, KIND_RESPONSE];
     out.extend_from_slice(&tag.to_le_bytes());
@@ -302,7 +342,7 @@ pub fn encode_response_v7(tag: u32, response: &Response) -> Vec<u8> {
 pub fn decode_response_v7(payload: &[u8]) -> WireResult<(u32, Response)> {
     let mut c = Cursor::new(payload);
     check_v7(&mut c, KIND_RESPONSE)?;
-    let tag = get_tag(&mut c)?;
+    let tag = get_u32(&mut c)?;
     let response = match c.u8()? {
         0 => {
             let rows = get_u64_column(&mut c)?;
@@ -340,7 +380,8 @@ pub fn decode_response_v7(payload: &[u8]) -> WireResult<(u32, Response)> {
     Ok((tag, response))
 }
 
-fn get_tag(c: &mut Cursor<'_>) -> WireResult<u32> {
+/// A little-endian `u32`: a frame tag or a chunk crc32.
+fn get_u32(c: &mut Cursor<'_>) -> WireResult<u32> {
     let bytes = c.take(4)?;
     Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
 }
@@ -408,7 +449,7 @@ pub(crate) fn get_u64_column(c: &mut Cursor<'_>) -> WireResult<Vec<u64>> {
     // once the width is known.
     let rows = c.usize()?;
     let body_len = c.usize()?;
-    let stated = get_crc(c)?;
+    let stated = get_u32(c)?;
     let body_bytes = c.take(body_len)?;
     if crc32(body_bytes) != stated {
         return Err(WireError::Malformed("u64 column crc mismatch".into()));
@@ -429,11 +470,6 @@ pub(crate) fn get_u64_column(c: &mut Cursor<'_>) -> WireResult<Vec<u64>> {
     Ok(deltas.into_iter().map(|d| base.wrapping_add(d)).collect())
 }
 
-fn get_crc(c: &mut Cursor<'_>) -> WireResult<u32> {
-    let bytes = c.take(4)?;
-    Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
-}
-
 fn check_width(width: u8) -> WireResult<u8> {
     match width {
         0 | 1 | 2 | 4 | 8 => Ok(width),
@@ -452,7 +488,8 @@ fn check_width(width: u8) -> WireResult<u8> {
 ///
 /// * `Int` — `width u8 | base i64 | rows × width` delta bytes (base is
 ///   the minimum non-null value; null slots carry delta 0),
-/// * `Float` — `rows × 8` IEEE-754 bit patterns (null slots carry 0.0),
+/// * `Float` — per **non-null** value only: its 8-byte IEEE-754 bit
+///   pattern,
 /// * `Bool` — bit-packed, `ceil(rows / 8)` bytes,
 /// * `Str` — per **non-null** value only: `u64` length + UTF-8 bytes.
 pub(crate) fn put_table_columnar(out: &mut Vec<u8>, table: &Table) {
@@ -514,9 +551,11 @@ fn encode_chunk_body(chunk: &ColumnChunk<'_>) -> Vec<u8> {
                     .map(|(&v, &null)| if null { 0 } else { delta(v) }),
             );
         }
-        ColumnChunk::Float { values, .. } => {
-            for v in *values {
-                wire::put_f64(&mut body, *v);
+        ColumnChunk::Float { values, nulls } => {
+            for (v, &null) in values.iter().zip(nulls.iter()) {
+                if !null {
+                    wire::put_f64(&mut body, *v);
+                }
             }
         }
         ColumnChunk::Bool { values, .. } => put_bitmap(&mut body, values),
@@ -560,9 +599,8 @@ fn decode_chunk_body(
         }
         paq_relational::DataType::Float => {
             let mut data = Vec::with_capacity(rows.min(CHUNK_ROWS));
-            for &null in nulls.iter().take(rows) {
-                let v = body.f64()?;
-                data.push(if null { 0.0 } else { v });
+            for &null in &nulls {
+                data.push(if null { 0.0 } else { body.f64()? });
             }
             Column::Float { data, nulls }
         }
@@ -602,7 +640,7 @@ pub(crate) fn get_table_columnar(c: &mut Cursor<'_>) -> WireResult<Table> {
         for _ in 0..n_chunks {
             let rows = c.usize()?;
             let body_len = c.usize()?;
-            let stated = get_crc(c)?;
+            let stated = get_u32(c)?;
             let body_bytes = c.take(body_len)?;
             if crc32(body_bytes) != stated {
                 return Err(WireError::Malformed(format!(
@@ -662,22 +700,6 @@ fn append_column(acc: &mut Column, chunk: Column) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Frame-level helpers
-// ---------------------------------------------------------------------
-
-/// `true` when a raw frame payload is a v7 frame (first byte is the v7
-/// version marker). The server uses this on a connection's first
-/// payload to pick the codec; legacy payloads open with their wire
-/// version (≤ 6) instead.
-pub fn is_v7_payload(payload: &[u8]) -> bool {
-    payload.first() == Some(&WIRE_V7)
-}
-
-/// Upper bound sanity: keep the doc promise that v7 frames obey the
-/// same cap as legacy frames.
-const _: () = assert!(MAX_FRAME == 32 << 20);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,21 +738,6 @@ mod tests {
         let back = get_table_columnar(&mut c).unwrap();
         c.finish().unwrap();
         assert_eq!(back, table);
-    }
-
-    #[test]
-    fn columnar_encoding_is_smaller_than_row_major() {
-        let table = table_with_nulls();
-        let mut columnar = Vec::new();
-        put_table_columnar(&mut columnar, &table);
-        let mut row_major = Vec::new();
-        wire::put_table(&mut row_major, &table);
-        assert!(
-            columnar.len() < row_major.len(),
-            "columnar {} >= row-major {}",
-            columnar.len(),
-            row_major.len()
-        );
     }
 
     #[test]
@@ -787,11 +794,11 @@ mod tests {
             window: 32,
         };
         assert_eq!(HelloAck::decode(&ack.encode()).unwrap(), ack);
-        // A legacy payload is not a v7 frame.
-        let legacy = Request::Stats.encode();
-        assert!(!is_v7_payload(&legacy));
+        // A payload from another protocol revision is a typed error.
+        let mut other = hello.encode();
+        other[0] = 6;
         assert!(matches!(
-            Hello::decode(&legacy),
+            Hello::decode(&other),
             Err(WireError::Version { got: 6, want: 7 })
         ));
     }

@@ -43,7 +43,8 @@ fn serve_and<F: FnOnce(&mut Client<paq_server::PipeEnd>)>(db: PackageDb, body: F
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = Client::over(connector.connect().expect("listener alive"));
+        let mut client =
+            Client::handshake(connector.connect().expect("listener alive")).expect("handshake");
         // Shut the server down even when `body` panics: otherwise the
         // scope would join the serve thread forever and a failed
         // assertion would present as a hang instead of a failure.

@@ -1,19 +1,22 @@
-//! Protocol-v7 serving end to end: the version-negotiation handshake,
-//! request pipelining with out-of-order completion checked bit-identical
-//! to sequential execution (at 1 and 4 workers), columnar catalog
-//! mutations over one pipelined connection, fairness-aware shedding
-//! surfaced as typed `Busy` answers, the idle-connection reaper, and —
-//! via recorded golden frames — proof that a pure-v6 byte stream is
-//! still served exactly as before the redesign.
+//! Protocol-v7 serving end to end: the handshake, request pipelining
+//! with out-of-order completion checked bit-identical to sequential
+//! execution (at 1 and 4 workers), columnar catalog mutations over one
+//! pipelined connection, fairness-aware shedding surfaced as typed
+//! `Busy` answers, the idle-connection reaper, and the refusals: a
+//! recorded v6 frame, a `Hello` below v7, and the accept-time `Busy`
+//! all arrive as typed faults on the control tag before the connection
+//! closes.
 
 use paq_db::{DbConfig, PackageDb, Route};
 use paq_lang::parse_paql;
 use paq_relational::{DataType, Schema, Table, Value};
+use paq_server::wire7::decode_response_v7;
 use paq_server::{
-    pipe_listener, wire, AdmissionConfig, Client, ClientError, Hello, HelloAck, HelloOptions,
-    PipelinedClient, RequestBuilder, Response, Server, ServerConfig, ShedClass, WIRE_V7,
+    pipe_listener, wire, AdmissionConfig, Client, ClientError, FaultKind, Hello, HelloOptions,
+    PipeConnector, PipeEnd, RequestBuilder, Response, Server, ServerConfig, ShedClass, CONTROL_TAG,
 };
 use std::io::Write;
+use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 /// Worker counts to sweep: pinned by `PAQ_THREADS` (the CI matrix),
@@ -87,7 +90,7 @@ fn handshake_negotiates_v7_and_advertises_the_window() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = PipelinedClient::handshake(connector.connect().unwrap()).unwrap();
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
         assert_eq!(client.window(), 9, "HelloAck must carry the server window");
 
         // The pipelined connection serves typed requests like any other.
@@ -116,10 +119,10 @@ fn out_of_order_pipelined_results_match_sequential_bit_identically() {
         std::thread::scope(|scope| {
             scope.spawn(|| server.serve(listener));
 
-            // Sequential baseline: one legacy connection, one request at
-            // a time, in submission order.
+            // Sequential baseline: one connection, one request at a
+            // time, in submission order.
             let submissions: Vec<&str> = (0..6).map(|i| QUERIES[i % QUERIES.len()]).collect();
-            let mut sequential = Client::over(connector.connect().unwrap());
+            let mut sequential = Client::handshake(connector.connect().unwrap()).unwrap();
             let baseline: Vec<Vec<(u64, u64)>> = submissions
                 .iter()
                 .map(|paql| pinned(paql).send(&mut sequential).unwrap().pairs)
@@ -133,7 +136,7 @@ fn out_of_order_pipelined_results_match_sequential_bit_identically() {
             // tickets in REVERSE order — the out-of-order case the tag
             // routing exists for. Every answer must be bit-identical to
             // the sequential one for the same submission.
-            let mut pipelined = PipelinedClient::handshake(connector.connect().unwrap()).unwrap();
+            let mut pipelined = Client::handshake(connector.connect().unwrap()).unwrap();
             let tickets: Vec<_> = submissions
                 .iter()
                 .map(|paql| pinned(paql).submit(&mut pipelined).unwrap())
@@ -186,7 +189,7 @@ fn pipelined_catalog_mutations_travel_columnar_and_apply_in_order() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = PipelinedClient::handshake(connector.connect().unwrap()).unwrap();
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
 
         // All submitted before the first wait: registration (the v7
         // columnar body), an append, and the stats read-back ride the
@@ -245,7 +248,7 @@ fn quota_shed_is_a_typed_busy_on_the_request_tag() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = PipelinedClient::handshake_as(
+        let mut client = Client::handshake_as(
             connector.connect().unwrap(),
             HelloOptions {
                 class: ShedClass::Bulk,
@@ -272,18 +275,10 @@ fn quota_shed_is_a_typed_busy_on_the_request_tag() {
         }
         assert!(server.shed_requests() >= 1);
         assert!(db.obs_registry().counter(paq_obs::names::SERVER_SHED) >= 1);
-        // Free the single handler worker for the legacy connection.
+        // A quota of 0 sheds a Shutdown request too: stop the server
+        // directly.
         drop(client);
-
-        // Legacy connections bypass pipelined admission entirely — the
-        // same server still serves them.
-        let mut legacy = Client::over(connector.connect().unwrap());
-        assert!(!pinned(QUERIES[0])
-            .send(&mut legacy)
-            .unwrap()
-            .pairs
-            .is_empty());
-        legacy.shutdown().unwrap();
+        server.trigger_shutdown();
     });
 }
 
@@ -313,7 +308,7 @@ fn idle_connections_are_reaped_without_touching_active_ones() {
         drop(silent);
 
         // The freed worker serves a real client normally.
-        let mut client = Client::over(connector.connect().unwrap());
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
         assert!(!pinned(QUERIES[0])
             .send(&mut client)
             .unwrap()
@@ -325,122 +320,135 @@ fn idle_connections_are_reaped_without_touching_active_ones() {
 }
 
 // ---------------------------------------------------------------------
-// Version negotiation and v6 byte-compatibility
+// Refusals: one protocol, no downgrade
 // ---------------------------------------------------------------------
 
 /// A recorded v6 `Request::Stats` frame (length prefix + payload), as
-/// emitted before the v7 redesign. The codec must keep producing — and
-/// the server keep serving — these exact bytes.
-const GOLDEN_V6_STATS_FRAME: &str = "000000020604";
+/// emitted by the request/response protocol that v7 replaced.
+const RECORDED_V6_STATS_FRAME: [u8; 6] = [0, 0, 0, 2, 6, 4];
 
-/// A recorded v6 `Request::Execute` frame: the suite's 2-item knapsack
-/// against `Items`, forced SKETCHREFINE (threshold 10, 5 groups, one
-/// solver thread).
-const GOLDEN_V6_EXECUTE_FRAME: &str = "00000091060005000000000000004974656d735b000000000000005\
-3454c454354205041434b41474528522920415320502046524f4d204974656d73205220524550454154203020535\
-54348205448415420434f554e5428502e2a29203d2032204d4158494d495a452053554d28502e76616c756529020\
-10a00000000000000010500000000000000010100000000000000000000";
-
-fn unhex(s: &str) -> Vec<u8> {
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-        .collect()
+/// Read the server's next frame on `conn` and decode it as a v7
+/// response.
+fn next_response(conn: &mut PipeEnd) -> (u32, Response) {
+    let payload = wire::read_frame(conn).unwrap().expect("an answer");
+    decode_response_v7(&payload).unwrap()
 }
 
-#[test]
-fn v6_encoders_still_emit_the_recorded_frames() {
-    let mut framed = Vec::new();
-    paq_server::Request::Stats.write_to(&mut framed).unwrap();
-    assert_eq!(framed, unhex(GOLDEN_V6_STATS_FRAME), "Stats frame drifted");
-
-    let golden = unhex(GOLDEN_V6_EXECUTE_FRAME);
-    let paql = "SELECT PACKAGE(R) AS P FROM Items R REPEAT 0 \
-                SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.value)";
-    let mut framed = Vec::new();
-    RequestBuilder::query(paql)
-        .relation("Items")
-        .force_sketch_refine()
-        .direct_threshold(10)
-        .default_groups(5)
-        .threads(1)
-        .build()
-        .write_to(&mut framed)
-        .unwrap();
-    assert_eq!(framed, golden, "Execute frame drifted");
-}
-
-#[test]
-fn recorded_v6_frames_are_served_unchanged() {
-    let db = test_db();
-    let server = Server::new(db.session());
-    let (connector, listener) = pipe_listener();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.serve(listener));
-
-        // Replay the raw recorded bytes — no client library involved —
-        // and decode the answers with the legacy codec.
-        let mut conn = connector.connect().unwrap();
-        conn.write_all(&unhex(GOLDEN_V6_EXECUTE_FRAME)).unwrap();
-        let payload = wire::read_frame(&mut conn).unwrap().expect("answer");
-        let remote = match Response::decode(&payload).unwrap() {
-            Response::Executed(exec) => *exec,
-            other => panic!("expected Executed, got {other:?}"),
-        };
-        assert!(!remote.direct, "the recorded frame forces SKETCHREFINE");
-
-        conn.write_all(&unhex(GOLDEN_V6_STATS_FRAME)).unwrap();
-        let payload = wire::read_frame(&mut conn).unwrap().expect("answer");
-        match Response::decode(&payload).unwrap() {
-            Response::Stats(stats) => assert_eq!(stats.tables[0].name, "Items"),
-            other => panic!("expected Stats, got {other:?}"),
+/// Assert the server refused the connection with a typed `BadRequest`
+/// on the control tag, then closed it.
+fn assert_refused(conn: &mut PipeEnd, wanted: &str) {
+    match next_response(conn) {
+        (CONTROL_TAG, Response::Error(fault)) => {
+            assert_eq!(fault.kind, FaultKind::BadRequest, "{}", fault.message);
+            assert!(fault.message.contains(wanted), "{}", fault.message);
         }
-        drop(conn);
-
-        // Ground truth: the replayed execution matches in-process.
-        let paql = "SELECT PACKAGE(R) AS P FROM Items R REPEAT 0 \
-                    SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.value)";
-        let local = db
-            .execute_with(&parse_paql(paql).unwrap(), Route::ForceSketchRefine)
-            .unwrap();
-        assert_eq!(remote.package().members(), local.package.members());
-
-        let mut client = Client::over(connector.connect().unwrap());
-        client.shutdown().unwrap();
-    });
+        other => panic!("expected a BadRequest refusal, got {other:?}"),
+    }
+    assert!(wire::read_frame(conn).unwrap().is_none(), "closed");
 }
 
-#[test]
-fn hello_below_v7_downgrades_to_the_legacy_codec() {
-    let db = test_db();
-    let server = Server::new(db.session());
+/// Serve over a fresh pipe listener while `body` runs, then shut the
+/// server down — even when `body` panics, so a failed assertion fails
+/// the test instead of hanging the serve thread's join.
+fn serving<R>(server: &Server, body: impl FnOnce(&PipeConnector) -> R) -> R {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(&connector)));
+        server.trigger_shutdown();
+        result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
 
-        // A client that tops out at v6: the server must answer the
-        // handshake with version 6 and then speak pure legacy frames on
-        // the same connection.
+#[test]
+fn recorded_v6_frame_is_refused_with_a_typed_fault() {
+    let server = Server::new(test_db().session());
+    serving(&server, |connector| {
+        let mut conn = connector.connect().unwrap();
+        conn.write_all(&RECORDED_V6_STATS_FRAME).unwrap();
+        assert_refused(&mut conn, "protocol version 6");
+    });
+    assert_eq!(server.served(), 0, "nothing was served");
+}
+
+#[test]
+fn hello_below_v7_is_refused_without_downgrade() {
+    let db = test_db();
+    let server = Server::new(db.session());
+    serving(&server, |connector| {
         let mut conn = connector.connect().unwrap();
         Hello {
-            max_version: WIRE_V7 - 1,
+            max_version: 6,
             client_id: 0,
             class: ShedClass::Normal,
         }
         .write_to(&mut conn)
         .unwrap();
-        let ack = HelloAck::read_from(&mut conn).unwrap().expect("ack");
-        assert_eq!(ack.version, WIRE_V7 - 1, "server must not over-negotiate");
+        assert_refused(&mut conn, "v6 at most");
+    });
+    assert_eq!(
+        db.obs_registry().counter(paq_obs::names::SERVER_HANDSHAKES),
+        0,
+        "a refused Hello is not a handshake"
+    );
+}
 
-        paq_server::Request::Stats.write_to(&mut conn).unwrap();
-        let payload = wire::read_frame(&mut conn).unwrap().expect("answer");
-        match Response::decode(&payload).unwrap() {
-            Response::Stats(stats) => assert_eq!(stats.tables[0].rows, 60),
-            other => panic!("expected a legacy Stats answer, got {other:?}"),
+#[test]
+fn accept_time_busy_is_a_typed_control_frame() {
+    let server = Server::with_config(
+        test_db().session(),
+        ServerConfig {
+            workers: 1,
+            max_in_flight: 1,
+            ..ServerConfig::default()
+        },
+    );
+    serving(&server, |connector| {
+        let mut holder = Client::handshake(connector.connect().unwrap()).unwrap();
+        holder.stats().unwrap();
+
+        // Raw bytes: the rejection is a v7 Busy on the control tag,
+        // written before the peer says anything, then the close.
+        let mut conn = connector.connect().unwrap();
+        match next_response(&mut conn) {
+            (
+                CONTROL_TAG,
+                Response::Busy {
+                    in_flight,
+                    max_in_flight,
+                    retry_after_ms,
+                    shed_class,
+                },
+            ) => {
+                assert_eq!((in_flight, max_in_flight), (1, 1));
+                assert!(retry_after_ms > 0, "Busy carries a pacing hint");
+                assert_eq!(shed_class, None, "no admission class at accept time");
+            }
+            other => panic!("expected Busy, got {other:?}"),
         }
-        drop(conn);
+        assert!(wire::read_frame(&mut conn).unwrap().is_none(), "closed");
 
-        let mut client = Client::over(connector.connect().unwrap());
-        client.shutdown().unwrap();
+        // The handshake race: the server has already written Busy and
+        // closed, so the client's Hello write fails — the handshake
+        // still reports the buffered Busy, not the broken pipe.
+        let conn = connector.connect().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.busy_rejections() < 2 {
+            assert!(Instant::now() < deadline, "second rejection never happened");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // The count leads the write and the close by a few instructions.
+        std::thread::sleep(Duration::from_millis(50));
+        match Client::handshake(conn) {
+            Err(ClientError::Busy {
+                retry_after_ms,
+                shed_class,
+                ..
+            }) => {
+                assert!(retry_after_ms > 0);
+                assert_eq!(shed_class, None);
+            }
+            other => panic!("expected Busy, got {other:?}"),
+        }
     });
 }

@@ -18,7 +18,8 @@ use paq_db::{DbConfig, PackageDb, Route};
 use paq_lang::parse_paql;
 use paq_relational::{DataType, Schema, Table, Value};
 use paq_server::{
-    pipe_listener, spawn_tcp, Client, ClientError, FaultKind, RequestBuilder, Server, ServerConfig,
+    pipe_listener, spawn_tcp, Client, ClientError, Connection, FaultKind, RequestBuilder, Server,
+    ServerConfig,
 };
 
 /// Server pool size under test (`PAQ_THREADS`, default 4).
@@ -86,7 +87,7 @@ fn test_db() -> PackageDb {
 /// of `db` at the observed table version.
 fn storm<C, F>(db: &PackageDb, clients: usize, reps: usize, make_client: F)
 where
-    C: std::io::Read + std::io::Write,
+    C: Connection,
     F: Fn() -> Client<C> + Sync,
 {
     let version = db.table_version("Items").unwrap();
@@ -138,10 +139,10 @@ fn concurrent_clients_over_in_memory_pipe_match_in_process() {
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
         storm(&db, client_count(), 3, || {
-            Client::over(connector.connect().expect("listener alive"))
+            Client::handshake(connector.connect().expect("listener alive")).expect("handshake")
         });
         // Server-side stats went through the shared catalog.
-        let mut client = Client::over(connector.connect().unwrap());
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
         let stats = client.stats().unwrap();
         assert_eq!(stats.tables.len(), 1);
         assert_eq!(stats.tables[0].name, "Items");
@@ -189,7 +190,7 @@ fn remote_catalog_mutations_version_and_execute() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = Client::over(connector.connect().unwrap());
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
 
         // Register a fresh table remotely, visible to in-process
         // sessions immediately (shared catalog).
@@ -235,7 +236,7 @@ fn per_request_options_override_without_leaking() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = Client::over(connector.connect().unwrap());
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
 
         // Default config: 60 rows is under the threshold → DIRECT.
         let direct = client.execute(QUERIES[0]).unwrap();
@@ -288,13 +289,14 @@ fn busy_backpressure_is_typed_and_recoverable() {
 
         // Client A occupies the single in-flight slot (a completed
         // round trip proves its connection is being served).
-        let mut a = Client::over(connector.connect().unwrap());
+        let mut a = Client::handshake(connector.connect().unwrap()).unwrap();
         a.stats().unwrap();
 
         // Client B is rejected with the typed Busy response — not
         // queued, not dropped silently.
-        let mut b = Client::over(connector.connect().unwrap());
-        match b.execute(QUERIES[0]) {
+        match Client::handshake(connector.connect().unwrap())
+            .and_then(|mut b| b.execute(QUERIES[0]))
+        {
             Err(e) if e.is_busy() => match e {
                 ClientError::Busy {
                     in_flight,
@@ -320,9 +322,10 @@ fn busy_backpressure_is_typed_and_recoverable() {
         drop(a);
         let mut served = false;
         for _ in 0..200 {
-            let mut c = Client::over(connector.connect().unwrap());
-            match c.execute(QUERIES[0]) {
-                Ok(remote) => {
+            let attempt = Client::handshake(connector.connect().unwrap())
+                .and_then(|mut c| c.execute(QUERIES[0]).map(|remote| (c, remote)));
+            match attempt {
+                Ok((mut c, remote)) => {
                     assert!(!remote.package().is_empty());
                     c.shutdown().unwrap();
                     served = true;
@@ -353,7 +356,7 @@ fn graceful_shutdown_drains_in_flight_execution() {
         scope.spawn(|| server.serve(listener));
 
         // B is connected and served before the shutdown request lands.
-        let mut b = Client::over(connector.connect().unwrap());
+        let mut b = Client::handshake(connector.connect().unwrap()).unwrap();
         b.stats().unwrap();
 
         std::thread::scope(|inner| {
@@ -364,7 +367,7 @@ fn graceful_shutdown_drains_in_flight_execution() {
                 b.execute(QUERIES[2])
                     .expect("drain must answer in-flight work")
             });
-            let mut a = Client::over(connector.connect().unwrap());
+            let mut a = Client::handshake(connector.connect().unwrap()).unwrap();
             a.shutdown().unwrap();
             let remote = in_flight.join().unwrap();
             assert!(!remote.package().is_empty());
@@ -383,7 +386,7 @@ fn faults_are_typed_and_connection_survives() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = Client::over(connector.connect().unwrap());
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
 
         // Unknown table.
         match client.execute("SELECT PACKAGE(R) AS P FROM Nope R REPEAT 0 SUCH THAT COUNT(P.*) = 1")

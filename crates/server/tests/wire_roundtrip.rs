@@ -1,13 +1,18 @@
-//! Wire-protocol round-trip properties: every frame type — all six
-//! requests, all eight responses — must encode → frame → decode to an
-//! equal value, and every damaged frame (truncated, oversized, corrupt
-//! tag, trailing garbage) must be rejected with a typed error, never a
-//! panic or a silently wrong value.
+//! Wire-protocol round-trip properties: every frame type — all seven
+//! requests, all nine responses, the handshake pair — must encode →
+//! frame → decode to an equal value with its tag, and every damaged
+//! frame (truncated, oversized, corrupt tag, trailing garbage) must be
+//! rejected with a typed error, never a panic or a silently wrong
+//! value.
 
 use paq_relational::{ColumnDef, DataType, Schema, Table, Value};
+use paq_server::wire7::{
+    decode_request_v7, decode_response_v7, encode_request_v7, encode_response_v7,
+};
 use paq_server::{
-    wire, ExecOptions, Fault, FaultKind, RemoteExecution, Request, Response, RouteChoice,
-    StatsReply, WireError, WireReport, WireRouterVerdict, WireTimings,
+    wire, ExecOptions, Fault, FaultKind, Hello, HelloAck, RemoteExecution, Request, Response,
+    RouteChoice, ShedClass, StatsReply, WireError, WireReport, WireRouterVerdict, WireTimings,
+    CONTROL_TAG, WIRE_V7,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -132,6 +137,7 @@ fn request() -> impl Strategy<Value = Request> {
         ),
         Just(Request::Stats),
         Just(Request::Shutdown),
+        Just(Request::Metrics),
     ]
 }
 
@@ -317,19 +323,29 @@ fn response() -> impl Strategy<Value = Response> {
         "[ -~]{0,80}".prop_map(|text| Response::Explained { text }),
         stats().prop_map(Response::Stats),
         Just(Response::ShuttingDown),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(in_flight, max_in_flight, retry_after_ms)| Response::Busy {
-                in_flight,
-                max_in_flight,
-                retry_after_ms,
-                // The legacy codec cannot carry a shed class; encoding
-                // drops it and decoding restores `None`, so only `None`
-                // round-trips here (v7 carries `Some` — see the wire7
-                // suite).
-                shed_class: None,
-            }
-        ),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            (any::<bool>(), shed_class())
+        )
+            .prop_map(
+                |(in_flight, max_in_flight, retry_after_ms, (has_class, class))| Response::Busy {
+                    in_flight,
+                    max_in_flight,
+                    retry_after_ms,
+                    shed_class: has_class.then_some(class),
+                }
+            ),
         fault().prop_map(Response::Error),
+    ]
+}
+
+fn shed_class() -> impl Strategy<Value = ShedClass> {
+    prop_oneof![
+        Just(ShedClass::Interactive),
+        Just(ShedClass::Normal),
+        Just(ShedClass::Bulk),
     ]
 }
 
@@ -341,34 +357,56 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn requests_round_trip(request in request()) {
+    fn requests_round_trip_with_their_tag(tag in any::<u64>(), request in request()) {
+        let tag = tag as u32;
         // Payload round trip.
-        let payload = request.encode();
-        prop_assert_eq!(&Request::decode(&payload).unwrap(), &request);
+        let payload = encode_request_v7(tag, &request);
+        prop_assert_eq!(payload[0], WIRE_V7);
+        prop_assert_eq!(decode_request_v7(&payload).unwrap(), (tag, request.clone()));
         // Framed round trip over a byte stream.
         let mut buf = Vec::new();
-        request.write_to(&mut buf).unwrap();
+        wire::write_frame(&mut buf, &payload).unwrap();
         let mut stream = &buf[..];
-        let back = Request::read_from(&mut stream).unwrap().unwrap();
-        prop_assert_eq!(&back, &request);
-        prop_assert!(Request::read_from(&mut stream).unwrap().is_none());
+        let back = wire::read_frame(&mut stream).unwrap().unwrap();
+        prop_assert_eq!(decode_request_v7(&back).unwrap(), (tag, request));
+        prop_assert!(wire::read_frame(&mut stream).unwrap().is_none());
     }
 
     #[test]
-    fn responses_round_trip(response in response()) {
-        let payload = response.encode();
-        prop_assert_eq!(&Response::decode(&payload).unwrap(), &response);
+    fn responses_round_trip_with_their_tag(tag in any::<u64>(), response in response()) {
+        let tag = tag as u32;
+        let payload = encode_response_v7(tag, &response);
+        prop_assert_eq!(payload[0], WIRE_V7);
+        prop_assert_eq!(decode_response_v7(&payload).unwrap(), (tag, response.clone()));
         let mut buf = Vec::new();
-        response.write_to(&mut buf).unwrap();
+        wire::write_frame(&mut buf, &payload).unwrap();
         let mut stream = &buf[..];
-        let back = Response::read_from(&mut stream).unwrap().unwrap();
-        prop_assert_eq!(&back, &response);
+        let back = wire::read_frame(&mut stream).unwrap().unwrap();
+        prop_assert_eq!(decode_response_v7(&back).unwrap(), (tag, response));
+    }
+
+    #[test]
+    fn columnar_register_table_round_trips(
+        tag in any::<u64>(),
+        name in "[a-zA-Z]{1,10}",
+        table in table(),
+        token in (any::<bool>(), any::<u64>()),
+    ) {
+        // RegisterTable is the one request body with its own table
+        // codec (typed columnar chunks with null bitmaps and per-chunk
+        // crc32), so it gets its own property on top of the
+        // all-variants one above.
+        let tag = tag as u32;
+        let (has_token, token) = token;
+        let request = Request::RegisterTable { name, table, token: has_token.then_some(token) };
+        let payload = encode_request_v7(tag, &request);
+        prop_assert_eq!(decode_request_v7(&payload).unwrap(), (tag, request));
     }
 
     #[test]
     fn truncated_frames_are_typed_errors(request in request(), cut in 1usize..10_000) {
         let mut buf = Vec::new();
-        request.write_to(&mut buf).unwrap();
+        wire::write_frame(&mut buf, &encode_request_v7(5, &request)).unwrap();
         let cut = 1 + cut % (buf.len() - 1); // 1..len: keep ≥1 byte, drop ≥1
         let mut stream = &buf[..cut];
         match wire::read_frame(&mut stream) {
@@ -380,25 +418,74 @@ proptest! {
     }
 
     #[test]
-    fn corrupt_payload_bytes_never_panic(request in request(), pos in any::<u64>(), byte in any::<u64>()) {
-        // Any single-byte corruption either still decodes (the byte was
-        // free — e.g. inside a string) or fails with a typed error;
-        // it must never panic or loop.
-        let mut payload = request.encode();
+    fn truncated_payloads_are_typed_errors(request in request(), cut in 1usize..10_000) {
+        // Every strict prefix must fail: the decoder demands the full
+        // body and `finish()` forbids leftovers, so there is no prefix
+        // that parses as a smaller valid frame.
+        let payload = encode_request_v7(9, &request);
+        let cut = 1 + cut % (payload.len() - 1); // 1..len
+        match decode_request_v7(&payload[..cut]) {
+            Err(_) => {}
+            Ok((tag, req)) => return Err(TestCaseError::Fail(
+                format!("prefix {cut}/{} decoded as tag {tag} {req:?}", payload.len()),
+            )),
+        }
+    }
+
+    #[test]
+    fn corrupt_request_bytes_never_panic(
+        request in request(),
+        pos in any::<u64>(),
+        byte in any::<u64>(),
+    ) {
+        // Single-byte corruption anywhere in the payload — including the
+        // columnar chunks, whose crc32 exists to catch exactly this —
+        // either still decodes (the byte was free) or fails typed.
+        let mut payload = encode_request_v7(42, &request);
         let pos = (pos as usize) % payload.len();
         payload[pos] = byte as u8;
-        let _ = Request::decode(&payload);
+        let _ = decode_request_v7(&payload);
+    }
+
+    #[test]
+    fn corrupt_response_bytes_never_panic(
+        response in response(),
+        pos in any::<u64>(),
+        byte in any::<u64>(),
+    ) {
+        let mut payload = encode_response_v7(42, &response);
+        let pos = (pos as usize) % payload.len();
+        payload[pos] = byte as u8;
+        let _ = decode_response_v7(&payload);
     }
 
     #[test]
     fn trailing_garbage_rejected(response in response(), extra in 1usize..5) {
-        let mut payload = response.encode();
+        let mut payload = encode_response_v7(3, &response);
         payload.resize(payload.len() + extra, 0u8);
-        match Response::decode(&payload) {
+        match decode_response_v7(&payload) {
             Err(WireError::Malformed(_)) => {}
             Ok(_) => return Err(TestCaseError::Fail("decoded with trailing bytes".into())),
             Err(e) => return Err(TestCaseError::Fail(format!("wrong error {e:?}"))),
         }
+    }
+
+    #[test]
+    fn hello_round_trips(max_version in any::<u64>(), client_id in any::<u64>(), class in shed_class()) {
+        let hello = Hello { max_version: max_version as u8, client_id, class };
+        prop_assert_eq!(Hello::decode(&hello.encode()).unwrap(), hello);
+    }
+
+    #[test]
+    fn hello_ack_round_trips(version in any::<u64>(), window in any::<u64>()) {
+        let ack = HelloAck { version: version as u8, window };
+        prop_assert_eq!(HelloAck::decode(&ack.encode()).unwrap(), ack);
+        // And framed over a byte stream, as the handshake sends it.
+        let mut buf = Vec::new();
+        ack.write_to(&mut buf).unwrap();
+        let mut stream = &buf[..];
+        prop_assert_eq!(HelloAck::read_from(&mut stream).unwrap(), Some(ack));
+        prop_assert_eq!(HelloAck::read_from(&mut stream).unwrap(), None);
     }
 }
 
@@ -447,10 +534,12 @@ fn every_request_variant_round_trips() {
         },
         Request::Stats,
         Request::Shutdown,
+        Request::Metrics,
     ];
-    for request in requests {
-        let decoded = Request::decode(&request.encode()).unwrap();
-        assert_eq!(decoded, request);
+    for (tag, request) in requests.into_iter().enumerate() {
+        let tag = tag as u32;
+        let decoded = decode_request_v7(&encode_request_v7(tag, &request)).unwrap();
+        assert_eq!(decoded, (tag, request));
     }
 }
 
@@ -507,6 +596,13 @@ fn every_response_variant_round_trips() {
             retry_after_ms: 50,
             shed_class: None,
         },
+        Response::Busy {
+            in_flight: 3,
+            max_in_flight: 64,
+            retry_after_ms: 50,
+            shed_class: Some(ShedClass::Interactive),
+        },
+        Response::Metrics(paq_obs::RegistrySnapshot::default()),
         Response::Error(Fault {
             kind: FaultKind::UnknownTable,
             message: "unknown table 'X'".into(),
@@ -516,9 +612,10 @@ fn every_response_variant_round_trips() {
             message: "request frame still incomplete after 30s".into(),
         }),
     ];
-    for response in responses {
-        let decoded = Response::decode(&response.encode()).unwrap();
-        assert_eq!(decoded, response);
+    for (tag, response) in responses.into_iter().enumerate() {
+        let tag = tag as u32;
+        let decoded = decode_response_v7(&encode_response_v7(tag, &response)).unwrap();
+        assert_eq!(decoded, (tag, response));
     }
 }
 
@@ -536,9 +633,27 @@ fn special_floats_round_trip_bit_exactly() {
             row: vec![Value::Float(f64::from_bits(bits))],
             token: None,
         };
-        let decoded = Request::decode(&request.encode()).unwrap();
+        let (_, decoded) = decode_request_v7(&encode_request_v7(0, &request)).unwrap();
         match decoded {
             Request::AppendRow { row, .. } => match row[0] {
+                Value::Float(f) => assert_eq!(f.to_bits(), bits),
+                ref other => panic!("unexpected {other:?}"),
+            },
+            other => panic!("unexpected {other:?}"),
+        }
+        // The same bits through a registered table's Float chunk.
+        let mut table = Table::new(Schema::from_pairs(&[("x", DataType::Float)]));
+        table
+            .push_row(vec![Value::Float(f64::from_bits(bits))])
+            .unwrap();
+        table.push_row(vec![Value::Null]).unwrap();
+        let request = Request::RegisterTable {
+            name: "T".into(),
+            table,
+            token: None,
+        };
+        match decode_request_v7(&encode_request_v7(0, &request)).unwrap() {
+            (_, Request::RegisterTable { table, .. }) => match table.row(0)[0] {
                 Value::Float(f) => assert_eq!(f.to_bits(), bits),
                 ref other => panic!("unexpected {other:?}"),
             },
@@ -561,166 +676,79 @@ fn package_reconstruction_matches_pairs() {
         report: None,
         timings: WireTimings::default(),
     };
-    let package = execution.package();
+    let response = Response::Executed(Box::new(execution));
+    let package = match decode_response_v7(&encode_response_v7(1, &response)).unwrap() {
+        (1, Response::Executed(execution)) => execution.package(),
+        other => panic!("unexpected {other:?}"),
+    };
     assert_eq!(package.members(), &[(1, 1), (3, 2)]);
     assert_eq!(package.cardinality(), 3);
 }
 
-// ---------------------------------------------------------------------
-// Protocol v7: tagged frames, columnar tables, handshake
-// ---------------------------------------------------------------------
-
-use paq_server::{wire7, Hello, HelloAck, ShedClass, CONTROL_TAG, WIRE_V7};
-
-fn shed_class() -> impl Strategy<Value = ShedClass> {
-    prop_oneof![
-        Just(ShedClass::Interactive),
-        Just(ShedClass::Normal),
-        Just(ShedClass::Bulk),
-    ]
+/// A `Float` column `rows` long whose every `stride`-th slot holds a
+/// value and the rest are NULL (`stride == 1` is fully dense).
+fn float_column(rows: usize, stride: usize) -> Table {
+    let mut table = Table::new(Schema::from_pairs(&[("x", DataType::Float)]));
+    for i in 0..rows {
+        let cell = if i % stride == 0 {
+            Value::Float(i as f64 * 0.25)
+        } else {
+            Value::Null
+        };
+        table.push_row(vec![cell]).unwrap();
+    }
+    table
 }
 
-/// The legacy response vocabulary plus what only v7 can carry: a `Busy`
-/// with its shed admission class attached.
-fn response_v7() -> impl Strategy<Value = Response> {
-    prop_oneof![
-        response(),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            (any::<bool>(), shed_class())
-        )
-            .prop_map(
-                |(in_flight, max_in_flight, retry_after_ms, (has_class, class))| Response::Busy {
-                    in_flight,
-                    max_in_flight,
-                    retry_after_ms,
-                    shed_class: has_class.then_some(class),
-                }
-            ),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn v7_requests_round_trip_with_their_tag(tag in any::<u64>(), request in request()) {
-        let tag = tag as u32;
-        let payload = wire7::encode_request_v7(tag, &request);
-        prop_assert!(wire7::is_v7_payload(&payload));
-        let (back_tag, back) = wire7::decode_request_v7(&payload).unwrap();
-        prop_assert_eq!(back_tag, tag);
-        prop_assert_eq!(&back, &request);
-    }
-
-    #[test]
-    fn v7_responses_round_trip_with_their_tag(tag in any::<u64>(), response in response_v7()) {
-        let tag = tag as u32;
-        let payload = wire7::encode_response_v7(tag, &response);
-        prop_assert!(wire7::is_v7_payload(&payload));
-        let (back_tag, back) = wire7::decode_response_v7(&payload).unwrap();
-        prop_assert_eq!(back_tag, tag);
-        prop_assert_eq!(&back, &response);
-    }
-
-    #[test]
-    fn v7_columnar_register_table_round_trips(
-        tag in any::<u64>(),
-        name in "[a-zA-Z]{1,10}",
-        table in table(),
-        token in (any::<bool>(), any::<u64>()),
-    ) {
-        // RegisterTable is the one request body v7 re-encodes (typed
-        // columnar chunks with null bitmaps and per-chunk crc32), so it
-        // gets its own property on top of the all-variants one above.
-        let tag = tag as u32;
-        let (has_token, token) = token;
-        let request = Request::RegisterTable { name, table, token: has_token.then_some(token) };
-        let payload = wire7::encode_request_v7(tag, &request);
-        let (back_tag, back) = wire7::decode_request_v7(&payload).unwrap();
-        prop_assert_eq!(back_tag, tag);
-        prop_assert_eq!(&back, &request);
-    }
-
-    #[test]
-    fn v7_corrupt_request_bytes_never_panic(
-        request in request(),
-        pos in any::<u64>(),
-        byte in any::<u64>(),
-    ) {
-        // Single-byte corruption anywhere in the payload — including the
-        // columnar chunks, whose crc32 exists to catch exactly this —
-        // either still decodes (the byte was free) or fails typed.
-        let mut payload = wire7::encode_request_v7(42, &request);
-        let pos = (pos as usize) % payload.len();
-        payload[pos] = byte as u8;
-        let _ = wire7::decode_request_v7(&payload);
-    }
-
-    #[test]
-    fn v7_corrupt_response_bytes_never_panic(
-        response in response_v7(),
-        pos in any::<u64>(),
-        byte in any::<u64>(),
-    ) {
-        let mut payload = wire7::encode_response_v7(42, &response);
-        let pos = (pos as usize) % payload.len();
-        payload[pos] = byte as u8;
-        let _ = wire7::decode_response_v7(&payload);
-    }
-
-    #[test]
-    fn v7_truncated_payloads_are_typed_errors(request in request(), cut in 1usize..10_000) {
-        // Every strict prefix must fail: the decoder demands the full
-        // body and `finish()` forbids leftovers, so there is no prefix
-        // that parses as a smaller valid frame.
-        let payload = wire7::encode_request_v7(9, &request);
-        let cut = 1 + cut % (payload.len() - 1); // 1..len
-        match wire7::decode_request_v7(&payload[..cut]) {
-            Err(_) => {}
-            Ok((tag, req)) => return Err(TestCaseError::Fail(
-                format!("prefix {cut}/{} decoded as tag {tag} {req:?}", payload.len()),
-            )),
-        }
-    }
-
-    #[test]
-    fn v7_hello_round_trips(max_version in any::<u64>(), client_id in any::<u64>(), class in shed_class()) {
-        let hello = Hello { max_version: max_version as u8, client_id, class };
-        prop_assert_eq!(Hello::decode(&hello.encode()).unwrap(), hello);
-    }
-
-    #[test]
-    fn v7_hello_ack_round_trips(version in any::<u64>(), window in any::<u64>()) {
-        let ack = HelloAck { version: version as u8, window };
-        prop_assert_eq!(HelloAck::decode(&ack.encode()).unwrap(), ack);
-        // And framed over a byte stream, as the handshake sends it.
-        let mut buf = Vec::new();
-        ack.write_to(&mut buf).unwrap();
-        let mut stream = &buf[..];
-        prop_assert_eq!(HelloAck::read_from(&mut stream).unwrap(), Some(ack));
-        prop_assert_eq!(HelloAck::read_from(&mut stream).unwrap(), None);
-    }
+fn register(table: Table) -> Vec<u8> {
+    encode_request_v7(
+        0,
+        &Request::RegisterTable {
+            name: "T".into(),
+            table,
+            token: None,
+        },
+    )
 }
 
 #[test]
-fn v7_and_legacy_payloads_reject_each_other_typed() {
-    let request = Request::Stats;
-    let legacy = request.encode();
-    assert!(!wire7::is_v7_payload(&legacy));
-    assert!(matches!(
-        wire7::decode_request_v7(&legacy),
-        Err(WireError::Version { got: 6, want: 7 })
-    ));
-    let v7 = wire7::encode_request_v7(1, &request);
-    assert!(wire7::is_v7_payload(&v7));
-    assert!(matches!(
-        Request::decode(&v7),
-        Err(WireError::Version { got: 7, want: 6 })
-    ));
-    assert_eq!(WIRE_V7, 7);
+fn null_heavy_float_column_round_trips_and_ships_only_values() {
+    // 10,000 rows, 90% NULL: the chunk carries the null bitmap plus one
+    // 8-byte value per non-null slot, nothing for the NULLs.
+    let rows = 10_000;
+    let sparse = float_column(rows, 10);
+    let payload = register(sparse.clone());
+    match decode_request_v7(&payload).unwrap() {
+        (0, Request::RegisterTable { table, .. }) => assert_eq!(table, sparse),
+        other => panic!("unexpected {other:?}"),
+    }
+    let nulls = rows - rows.div_ceil(10);
+    let dense = register(float_column(rows, 1)).len();
+    assert_eq!(
+        dense - payload.len(),
+        8 * nulls,
+        "every NULL float saves exactly its 8 value bytes"
+    );
+}
+
+#[test]
+fn columnar_tables_are_smaller_than_the_store_image() {
+    // The paper's TPC-H rows are mostly NULL in most columns; Galaxy is
+    // dense. The wire encoding must beat the snapshot image of the same
+    // table on both.
+    for (name, table) in [
+        ("tpch", paq_datagen::tpch_table(4096, 7)),
+        ("galaxy", paq_datagen::galaxy_table(4096, 7)),
+    ] {
+        let mut image = Vec::new();
+        paq_store::codec::encode_table(&mut image, &table);
+        let wire = register(table).len();
+        assert!(
+            wire < image.len(),
+            "{name}: columnar {wire} B >= store image {} B",
+            image.len()
+        );
+    }
 }
 
 #[test]
@@ -734,8 +762,7 @@ fn v7_busy_with_class_survives_on_the_control_tag() {
         shed_class: Some(ShedClass::Bulk),
     };
     for tag in [0u32, 7, CONTROL_TAG] {
-        let (back_tag, back) =
-            wire7::decode_response_v7(&wire7::encode_response_v7(tag, &busy)).unwrap();
+        let (back_tag, back) = decode_response_v7(&encode_response_v7(tag, &busy)).unwrap();
         assert_eq!(back_tag, tag);
         assert_eq!(back, busy);
     }
@@ -763,8 +790,8 @@ fn v7_wide_packages_with_constant_multiplicity_round_trip() {
             timings: WireTimings::default(),
         };
         let response = Response::Executed(Box::new(execution));
-        let encoded = wire7::encode_response_v7(9, &response);
-        let (tag, decoded) = wire7::decode_response_v7(&encoded)
+        let encoded = encode_response_v7(9, &response);
+        let (tag, decoded) = decode_response_v7(&encoded)
             .unwrap_or_else(|e| panic!("{members}-member package rejected: {e}"));
         assert_eq!(tag, 9);
         assert_eq!(decoded, response, "{members}-member package diverged");
