@@ -10,8 +10,10 @@
 //! what the request will produce. [`Client::wait`] blocks until *that*
 //! ticket's response arrives, buffering any other completions it reads
 //! along the way; [`Client::poll_ready`] drains whatever has already
-//! arrived without blocking. Because responses carry the request's tag,
-//! the client never confuses out-of-order completions.
+//! arrived without blocking and returns the tags it filed. Because
+//! responses carry the request's tag, the client never confuses
+//! out-of-order completions. It keeps no log of answered tags: what it
+//! holds is bounded by the answers not yet collected with `wait`.
 //!
 //! Backpressure ([`Response::Busy`]) and server-reported faults surface
 //! as typed [`ClientError`]s; everything else returns the decoded
@@ -185,11 +187,9 @@ pub struct Client<C: Connection> {
     conn: C,
     next_tag: u32,
     window: u64,
-    /// Completions read while waiting for a different tag.
+    /// Completions read but not yet collected by [`Client::wait`]: one
+    /// per answered request whose ticket has not been waited on.
     ready: HashMap<u32, Response>,
-    /// Tags in the order their responses arrived (the server's
-    /// completion order — the out-of-orderness tests assert on this).
-    completed: Vec<u32>,
 }
 
 impl Client<TcpStream> {
@@ -257,7 +257,6 @@ impl<C: Connection> Client<C> {
             next_tag: 0,
             window: ack.window,
             ready: HashMap::new(),
-            completed: Vec::new(),
         })
     }
 
@@ -469,17 +468,17 @@ impl<C: Connection> Client<C> {
             Some(payload) => payload,
             None => return Err(ClientError::ConnectionClosed),
         };
-        self.file(&payload)
+        self.file(&payload).map(drop)
     }
 
-    fn file(&mut self, payload: &[u8]) -> ClientResult<()> {
+    /// File one response under its tag; returns the tag.
+    fn file(&mut self, payload: &[u8]) -> ClientResult<u32> {
         let (tag, response) = decode_response_v7(payload)?;
         if tag == CONTROL_TAG {
             return Err(Self::fault_of(response));
         }
-        self.completed.push(tag);
         self.ready.insert(tag, response);
-        Ok(())
+        Ok(tag)
     }
 
     fn fault_of(response: Response) -> ClientError {
@@ -501,36 +500,30 @@ impl<C: Connection> Client<C> {
     }
 
     /// Drain responses that have already arrived, without blocking for
-    /// more. Returns the tags newly completed by this call; read their
-    /// payloads with [`Client::wait`] (which no longer blocks
-    /// for them).
+    /// more. Returns the tags filed by this call, in arrival order (the
+    /// server's completion order, which pipelining allows to differ
+    /// from submission order); each tag is returned by exactly one
+    /// call. Read their payloads with [`Client::wait`] (which no longer
+    /// blocks for them).
     pub fn poll_ready(&mut self) -> ClientResult<Vec<u32>> {
         self.conn
             .set_read_poll(Some(Duration::from_millis(1)))
             .map_err(ClientError::from)?;
-        let before = self.completed.len();
+        let mut filed = Vec::new();
         let result = loop {
             // `on_idle` abandons the wait at the first empty poll tick,
             // so this reads exactly what is buffered and stops.
             match read_frame_with(&mut self.conn, || true) {
-                Ok(Some(payload)) => {
-                    if let Err(e) = self.file(&payload) {
-                        break Err(e);
-                    }
-                }
+                Ok(Some(payload)) => match self.file(&payload) {
+                    Ok(tag) => filed.push(tag),
+                    Err(e) => break Err(e),
+                },
                 Ok(None) => break Ok(()),
                 Err(e) => break Err(e.into()),
             }
         };
         self.conn.set_read_poll(None).map_err(ClientError::from)?;
         result?;
-        Ok(self.completed[before..].to_vec())
-    }
-
-    /// Tags in the order their responses arrived — the server's
-    /// completion order, which pipelining allows to differ from
-    /// submission order.
-    pub fn completed_order(&self) -> &[u32] {
-        &self.completed
+        Ok(filed)
     }
 }

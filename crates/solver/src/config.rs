@@ -36,7 +36,9 @@ pub struct SolverConfig {
     /// them only when a basic variable crosses a bound tolerance, which
     /// is when the pass ends. Either way the pivot path is the same as
     /// with a fresh scan after every move. `false` prices again after
-    /// every flip; disable only to measure that design choice.
+    /// every flip; disable only to measure that design choice. Applies
+    /// to the primal loop only: the dual simplex's ratio test applies
+    /// all of an iteration's flips as one update either way.
     pub flip_batching: bool,
 }
 

@@ -13,10 +13,17 @@
 //!   Package-query ILPs have very few constraints (one per global
 //!   predicate) over very many variables (one per tuple), so the basis
 //!   stays tiny while pricing streams over all columns; this is the
-//!   shape the implementation is optimized for.
+//!   shape the implementation is optimized for. When every variable's
+//!   cost-preferred bound is finite — every query with a `REPEAT`
+//!   limit — a **dual simplex with a bound-flipping ratio test** runs
+//!   first and moves every profitable variable to its bound in one
+//!   iteration; a primal simplex certifies its result and handles the
+//!   remaining LPs.
 //! * [`branch`] — a **branch-and-bound** MILP solver on top of the LP
 //!   core: best-bound node selection, most-fractional branching, a
-//!   rounding primal heuristic, and integrality-gap accounting.
+//!   rounding primal heuristic, and integrality-gap accounting. Each
+//!   child node's LP starts from its parent's final basis with the
+//!   dual simplex.
 //! * [`SolverConfig`] — resource budgets (wall-clock time, node count,
 //!   simplex iterations, memory estimate). Exceeding a budget produces
 //!   the same observable failures the paper reports for CPLEX on large

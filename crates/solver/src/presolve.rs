@@ -20,6 +20,9 @@ pub struct StandardForm {
     pub m: usize,
     /// Sparse structural columns: `cols[j]` lists `(row, coefficient)`.
     pub cols: Vec<Vec<(u32, f64)>>,
+    /// The same matrix row-major: `rows[i]` lists `(variable,
+    /// coefficient)` by variable. Feeds [`StandardForm::row_combination`].
+    pub rows: Vec<Vec<(u32, f64)>>,
     /// Objective in *minimization* form (model objective × sense factor).
     pub obj_min: Vec<f64>,
     /// Row lower bounds.
@@ -38,6 +41,23 @@ impl StandardForm {
     /// model's sense.
     pub fn model_objective(&self, internal: f64) -> f64 {
         internal * self.obj_factor
+    }
+
+    /// `out = vA` over the structural columns: `out[j] = Σ_i v_i a_ij`,
+    /// one pass over the rows whose `v_i` is nonzero. The dual simplex
+    /// prices its reduced costs (`v = y`) and its pivot row (`v = ρ`)
+    /// through this one kernel.
+    pub fn row_combination(&self, v: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.n, 0.0);
+        for (row, &vi) in self.rows.iter().zip(v) {
+            if vi == 0.0 {
+                continue;
+            }
+            for &(j, a) in row {
+                out[j as usize] += vi * a;
+            }
+        }
     }
 }
 
@@ -78,23 +98,25 @@ pub fn presolve_opts(model: &Model, fold_singletons: bool) -> Presolved {
 
     #[allow(clippy::type_complexity)] // sparse range row: (terms, lo, hi)
     let mut rows: Vec<(Vec<(u32, f64)>, f64, f64)> = Vec::new();
-    let mut merged: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
     for c in model.constraints() {
-        merged.clear();
-        for (v, coef) in &c.terms {
-            if *coef != 0.0 {
-                *merged.entry(v.0).or_insert(0.0) += coef;
+        // Stable sort by variable, then fold each run of duplicates in
+        // input order: the same sums, added in the same order, as
+        // accumulating per variable.
+        let mut terms: Vec<(u32, f64)> = c
+            .terms
+            .iter()
+            .filter(|(_, coef)| *coef != 0.0)
+            .map(|(v, coef)| (v.0, *coef))
+            .collect();
+        terms.sort_by_key(|&(v, _)| v);
+        terms.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
             }
-        }
-        let terms: Vec<(u32, f64)> = {
-            let mut t: Vec<(u32, f64)> = merged
-                .iter()
-                .filter(|(_, c)| **c != 0.0)
-                .map(|(v, c)| (*v, *c))
-                .collect();
-            t.sort_by_key(|(v, _)| *v);
-            t
-        };
+            same
+        });
+        terms.retain(|&(_, coef)| coef != 0.0);
         match terms.len() {
             0 => {
                 // Constant row: 0 must lie within [lo, hi].
@@ -140,12 +162,14 @@ pub fn presolve_opts(model: &Model, fold_singletons: bool) -> Presolved {
 
     let m = rows.len();
     let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+    let mut row_terms = Vec::with_capacity(m);
     let mut row_lo = Vec::with_capacity(m);
     let mut row_hi = Vec::with_capacity(m);
     for (i, (terms, lo, hi)) in rows.into_iter().enumerate() {
-        for (v, coef) in terms {
+        for &(v, coef) in &terms {
             cols[v as usize].push((i as u32, coef));
         }
+        row_terms.push(terms);
         row_lo.push(lo);
         row_hi.push(hi);
     }
@@ -158,6 +182,7 @@ pub fn presolve_opts(model: &Model, fold_singletons: bool) -> Presolved {
             n,
             m,
             cols,
+            rows: row_terms,
             obj_min,
             row_lo,
             row_hi,
@@ -239,6 +264,41 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn merging_sorts_folds_duplicates_in_input_order_and_drops_zeros() {
+        let mut m = Model::new();
+        let v: Vec<_> = (0..4).map(|_| m.add_var(0.0, 10.0, 0.0)).collect();
+        // Unsorted, with a zero coefficient (v1), a duplicate that
+        // cancels (v2) and a three-way duplicate (v3) whose sum depends
+        // on the order of addition.
+        let (a, b, c) = (0.1, 0.2, 0.3);
+        m.add_le(
+            vec![
+                (v[3], a),
+                (v[2], 1.5),
+                (v[1], 0.0),
+                (v[0], 2.0),
+                (v[3], b),
+                (v[2], -1.5),
+                (v[3], c),
+            ],
+            6.0,
+        );
+        let Presolved::Ready(form, _) = presolve(&m) else {
+            panic!("feasible model");
+        };
+        let v3 = (0.0 + a + b) + c;
+        assert_ne!(v3.to_bits(), (a + (b + c)).to_bits(), "order matters");
+        assert_eq!(form.rows, vec![vec![(0, 2.0), (3, v3)]]);
+        assert_eq!(form.cols[0], vec![(0, 2.0)]);
+        assert!(form.cols[1].is_empty() && form.cols[2].is_empty());
+        assert_eq!(form.cols[3][0].1.to_bits(), v3.to_bits());
+
+        let mut out = Vec::new();
+        form.row_combination(&[2.0], &mut out);
+        assert_eq!(out, vec![4.0, 0.0, 0.0, 2.0 * v3]);
     }
 
     #[test]

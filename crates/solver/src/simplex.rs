@@ -1,4 +1,5 @@
-//! Bounded-variable revised simplex.
+//! Bounded-variable revised simplex: a dual simplex with a
+//! bound-flipping ratio test in front of a primal simplex.
 //!
 //! Solves `min c·x` subject to `L ≤ Ax ≤ U` (range rows) and `l ≤ x ≤ u`
 //! (variable bounds). Internally each row `i` gets a *logical* variable
@@ -7,7 +8,48 @@
 //! tiny for package-query ILPs — while pricing streams over all `n`
 //! structural columns.
 //!
-//! Implementation notes:
+//! **Which loop runs is decided by the input.**
+//! * *Dual start.* When every structural's cost-preferred bound is
+//!   finite (lower if `c_j ≥ 0`, upper otherwise), the solve starts from
+//!   the slack basis with every structural at that bound. The basis is
+//!   then dual feasible, and the dual simplex runs. Every package query
+//!   with a `REPEAT` limit is of this kind: its variables are boxed.
+//! * *Warm start.* [`solve_lp_from`] loads the final [`Basis`] of an
+//!   earlier solve of the same form under looser bounds. That basis is
+//!   optimal there, so it is dual feasible here and the dual simplex runs
+//!   from it. This is how branch-and-bound solves a child node: only a
+//!   bound of one basic variable changed.
+//! * Otherwise — some cost-preferred bound is infinite — the primal
+//!   simplex runs from the slack basis on its own.
+//!
+//! **Dual iteration.** The leaving row is the basic variable with the
+//! largest bound violation (lowest slot on ties). The pivot row
+//! `α = ρA` with `ρ = e_r B⁻¹` and the reduced costs `d = c − yA` come
+//! from one pass each over the row-major matrix
+//! ([`StandardForm::row_combination`]). The *bound-flipping ratio test*
+//! (Fourer 1994; Koberstein 2005) then keeps the breakpoints
+//! `|d_j| / |α_j|` in a heap — ties to the larger `|α_j|`, then the
+//! lower index — and pops them while the dual objective's slope (the
+//! remaining violation of the leaving row) stays positive. Each popped
+//! breakpoint but the last flips its variable to the opposite bound;
+//! the flips are applied as one combined update, and the last breakpoint
+//! pivots in. One such iteration moves every profitable variable at
+//! once: a one-row cardinality LP ("take the best k of n") takes one.
+//! When no breakpoint is left while the slope is still positive, the
+//! leaving row cannot reach its bound and the LP is infeasible; the rows
+//! with `ρ_k ≠ 0` — the support of that dual ray — are the diagnostic.
+//!
+//! **Iteration accounting.** [`LpResult::iterations`] counts one per
+//! primal move (a pivot or a bound flip) and one per dual iteration,
+//! whatever number of bound flips that iteration carries.
+//!
+//! **The primal loop** certifies every dual result: after a fresh
+//! refactorization it runs one pricing pass, which finds nothing to do
+//! unless rounding left the dual point slightly off. It also takes over
+//! when the dual stalls or meets a pivot too small to trust, and it is
+//! the only loop for LPs whose cost-preferred bound is infinite.
+//!
+//! Primal loop implementation notes:
 //! * dense `m × m` basis inverse, eta-updated each pivot and fully
 //!   refactorized every [`crate::SolverConfig::refactor_interval`]
 //!   pivots;
@@ -73,14 +115,47 @@ pub enum LpStatus {
 pub struct LpResult {
     /// Terminal status.
     pub status: LpStatus,
-    /// Simplex iterations consumed (pivots + bound flips).
+    /// Simplex iterations consumed: one per primal move (a pivot or a
+    /// bound flip) and one per dual iteration, however many bound flips
+    /// its ratio test passes. The certifying pricing pass that finds
+    /// nothing to do counts none.
     pub iterations: u64,
-    /// On [`LpStatus::Infeasible`]: the rows whose activity lies outside
-    /// their bounds at the phase-1 optimum — a lightweight stand-in for
-    /// a CPLEX irreducible-infeasible-set report (the paper's §4.4
-    /// strategy 3 uses exactly this kind of diagnostic to decide which
-    /// partitioning attributes to drop). Empty otherwise.
+    /// On [`LpStatus::Infeasible`]: the rows that prove it — a
+    /// lightweight stand-in for a CPLEX irreducible-infeasible-set
+    /// report (the paper's §4.4 strategy 3 uses exactly this kind of
+    /// diagnostic to decide which partitioning attributes to drop). When
+    /// the dual simplex proves infeasibility these are the rows of its
+    /// dual ray (`ρ_k ≠ 0`); when the primal phase 1 does, the rows
+    /// whose activity lies outside their bounds at the phase-1 optimum.
+    /// Empty otherwise.
     pub violated_rows: Vec<u32>,
+    /// On [`LpStatus::Optimal`] with at least one row: the final basis,
+    /// to warm-start a solve under tighter bounds ([`solve_lp_from`]).
+    pub basis: Option<Basis>,
+}
+
+/// A final simplex basis in compact form: one position byte per
+/// variable (structural then logical) and the basic variable of each row
+/// slot. Branch-and-bound keeps an optimal node's basis and starts both
+/// of its children from it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Basis {
+    /// Per variable: `AT_LOWER`, `AT_UPPER`, `FREE` or `BASIC`.
+    at: Vec<u8>,
+    /// Per row slot: the basic variable.
+    basic: Vec<u32>,
+}
+
+const AT_LOWER: u8 = 0;
+const AT_UPPER: u8 = 1;
+const FREE: u8 = 2;
+const BASIC: u8 = 3;
+
+impl Basis {
+    /// Bytes the basis holds: one per variable and four per row.
+    pub fn bytes(&self) -> usize {
+        self.at.len() + 4 * self.basic.len()
+    }
 }
 
 /// Knobs for one LP solve.
@@ -90,9 +165,10 @@ pub struct LpOptions {
     pub max_iterations: u64,
     /// Pivots between full basis refactorizations.
     pub refactor_interval: u32,
-    /// Serve consecutive bound flips from one pricing pass, in phase 1
-    /// as well as phase 2. `false` prices again after every flip
-    /// (ablation switch; see [`crate::SolverConfig::flip_batching`]).
+    /// Serve consecutive bound flips of the primal loop from one pricing
+    /// pass, in phase 1 as well as phase 2. `false` prices again after
+    /// every flip (ablation switch; see
+    /// [`crate::SolverConfig::flip_batching`]).
     pub flip_batching: bool,
 }
 
@@ -119,6 +195,11 @@ enum Status {
 /// Number of stalled (non-improving) iterations before switching to
 /// Bland's anti-cycling rule.
 const STALL_LIMIT: u32 = 300;
+
+/// Smallest `|α_j|` the dual ratio test pivots on. Smaller entries of
+/// the pivot row are left out of the breakpoints; the infeasibility
+/// proof accounts for them.
+const PIVOT_TOL: f64 = 1e-9;
 
 /// Candidates a pass ranks as it scans. Most runs of flips are short —
 /// one flip per pass on the bulk DIRECT models, about two on Galaxy
@@ -170,6 +251,9 @@ struct Simplex<'a> {
     refactor_interval: u32,
     flip_batching: bool,
     pass: Pass,
+    /// Set when the dual simplex proves infeasibility: the rows of its
+    /// dual ray.
+    ray_rows: Option<Vec<u32>>,
 }
 
 impl<'a> Simplex<'a> {
@@ -233,6 +317,7 @@ impl<'a> Simplex<'a> {
             refactor_interval: opts.refactor_interval.max(1),
             flip_batching: opts.flip_batching,
             pass: Pass::default(),
+            ray_rows: None,
         };
         s.recompute_xb();
         s
@@ -743,7 +828,269 @@ impl<'a> Simplex<'a> {
         self.last_obj = obj;
     }
 
-    fn solve(&mut self, max_iterations: u64) -> LpStatus {
+    /// The current basis in compact form.
+    fn basis(&self) -> Basis {
+        let at = self
+            .status
+            .iter()
+            .map(|st| match st {
+                Status::AtLower => AT_LOWER,
+                Status::AtUpper => AT_UPPER,
+                Status::Free => FREE,
+                Status::Basic(_) => BASIC,
+            })
+            .collect();
+        let basic = self.basis.iter().map(|&v| v as u32).collect();
+        Basis { at, basic }
+    }
+
+    /// Load `warm` under this solve's bounds and refactorize. Returns
+    /// `false` when the basis does not fit the form, places a variable
+    /// at an infinite bound, or is singular; `self` is then unusable and
+    /// the caller starts again from the slack basis.
+    fn load(&mut self, warm: &Basis) -> bool {
+        let basic_count = warm.at.iter().filter(|&&at| at == BASIC).count();
+        if warm.at.len() != self.n_total || warm.basic.len() != self.m || basic_count != self.m {
+            return false;
+        }
+        for j in 0..self.n_total {
+            let (l, u) = (self.lb[j], self.ub[j]);
+            let (status, x) = match warm.at[j] {
+                AT_LOWER if l.is_finite() => (Status::AtLower, l),
+                AT_UPPER if u.is_finite() => (Status::AtUpper, u),
+                FREE if !l.is_finite() && !u.is_finite() => (Status::Free, 0.0),
+                // A placeholder until the slot loop below claims it.
+                BASIC => (Status::Free, 0.0),
+                _ => return false,
+            };
+            self.status[j] = status;
+            self.xn[j] = x;
+        }
+        for (slot, &var) in warm.basic.iter().enumerate() {
+            let var = var as usize;
+            if warm.at.get(var) != Some(&BASIC) || matches!(self.status[var], Status::Basic(_)) {
+                return false;
+            }
+            self.status[var] = Status::Basic(slot as u32);
+            self.basis[slot] = var;
+        }
+        if !self.refactor() {
+            return false;
+        }
+        self.recompute_xb();
+        true
+    }
+
+    /// The dual start of a cold solve: every structural at the bound its
+    /// cost prefers (lower if `c_j ≥ 0`, upper otherwise), which makes
+    /// the slack basis dual feasible. Returns `false`, changing nothing,
+    /// when one of those bounds is infinite.
+    fn cost_preferred_start(&mut self) -> bool {
+        let n = self.form.n;
+        let bound = |s: &Self, j: usize| {
+            if s.cost[j] >= 0.0 {
+                (Status::AtLower, s.lb[j])
+            } else {
+                (Status::AtUpper, s.ub[j])
+            }
+        };
+        if (0..n).any(|j| !bound(self, j).1.is_finite()) {
+            return false;
+        }
+        for j in 0..n {
+            (self.status[j], self.xn[j]) = bound(self, j);
+        }
+        self.recompute_xb();
+        true
+    }
+
+    /// The dual simplex's leaving row: the basic variable with the
+    /// largest bound violation, lowest slot on ties. Returns its slot,
+    /// whether it leaves to its upper bound, and the violation.
+    fn leaving_row(&self) -> Option<(usize, bool, f64)> {
+        let mut best: Option<(usize, bool, f64)> = None;
+        for slot in 0..self.m {
+            let (side, violation) = self.slot_violation(slot);
+            if side != 0.0 && best.is_none_or(|(_, _, v)| violation > v) {
+                best = Some((slot, side > 0.0, violation));
+            }
+        }
+        best
+    }
+
+    /// Dual simplex with the bound-flipping ratio test, from a dual
+    /// feasible basis. Returns the status when it settles the LP
+    /// (infeasible, or out of iterations), or `None` to hand over to
+    /// [`Simplex::primal`]: after reaching primal feasibility on fresh
+    /// numbers, or when the dual stalls or meets a pivot too small to
+    /// trust.
+    fn dual(&mut self, max_iterations: u64) -> Option<LpStatus> {
+        let (n, m) = (self.form.n, self.m);
+        let mut d = Vec::with_capacity(n);
+        let mut alpha = Vec::with_capacity(n);
+        let mut breakpoints = Vec::new();
+        let mut flips: Vec<usize> = Vec::new();
+        let mut fresh = true;
+        let mut best_obj = f64::NEG_INFINITY;
+        let mut stall = 0u32;
+        loop {
+            let Some((r, leaves_upper, violation)) = self.leaving_row() else {
+                if fresh {
+                    return None;
+                }
+                // Confirm primal feasibility on fresh numbers.
+                if !self.refactor() {
+                    return Some(LpStatus::IterationLimit);
+                }
+                self.recompute_xb();
+                fresh = true;
+                continue;
+            };
+            if self.iterations >= max_iterations {
+                return Some(LpStatus::IterationLimit);
+            }
+            if stall >= STALL_LIMIT {
+                return None;
+            }
+
+            // Reduced costs d = c − yA and pivot row α = ρA; a logical
+            // column is −e_i, so its entries are y_i and −ρ_i.
+            let cb: Vec<f64> = self.basis.iter().map(|&v| self.cost[v]).collect();
+            let y = self.duals(&cb);
+            self.form.row_combination(&y, &mut d);
+            for (dj, cj) in d.iter_mut().zip(&self.cost) {
+                *dj = cj - *dj;
+            }
+            d.extend_from_slice(&y);
+            let rho = self.binv[r * m..(r + 1) * m].to_vec();
+            self.form.row_combination(&rho, &mut alpha);
+            alpha.extend(rho.iter().map(|v| -v));
+
+            // Breakpoints: nonbasic variables whose move toward their
+            // other bound pushes the leaving row toward its bound. The
+            // row's value changes by −α_j per unit of x_j.
+            let toward = if leaves_upper { 1.0 } else { -1.0 };
+            breakpoints.clear();
+            let mut unpivoted = 0.0;
+            for j in 0..self.n_total {
+                let a = alpha[j];
+                let at_lower = match self.status[j] {
+                    Status::AtLower => true,
+                    Status::AtUpper => false,
+                    Status::Free | Status::Basic(_) => continue,
+                };
+                let range = self.ub[j] - self.lb[j];
+                if a == 0.0 || range < EPS || (toward * a > 0.0) != at_lower {
+                    continue;
+                }
+                if a.abs() < PIVOT_TOL {
+                    unpivoted += a.abs() * range;
+                    continue;
+                }
+                // A reduced cost of the wrong sign (within tolerance)
+                // breaks at once.
+                let ratio = if (d[j] >= 0.0) == at_lower {
+                    d[j].abs() / a.abs()
+                } else {
+                    0.0
+                };
+                breakpoints.push((
+                    Reverse(ratio.to_bits()),
+                    a.abs().to_bits(),
+                    Reverse(j as u32),
+                ));
+            }
+            let mut heap = BinaryHeap::from(std::mem::take(&mut breakpoints));
+
+            // Pass breakpoints while the slope stays positive.
+            let mut slope = violation;
+            let mut entering = None;
+            flips.clear();
+            while let Some((_, _, Reverse(j))) = heap.pop() {
+                let j = j as usize;
+                let after = slope - alpha[j].abs() * (self.ub[j] - self.lb[j]);
+                if after > 0.0 {
+                    flips.push(j);
+                    slope = after;
+                } else {
+                    entering = Some(j);
+                    break;
+                }
+            }
+            breakpoints = heap.into_vec();
+            self.iterations += 1;
+
+            let Some(q) = entering else {
+                if slope - unpivoted > self.ftol(self.basis[r]) {
+                    // Even with every breakpoint flipped the leaving row
+                    // stays off its bound: ρ is a dual ray.
+                    let scale = rho.iter().fold(0.0_f64, |a, v| a.max(v.abs()));
+                    let rows = (0..m as u32).filter(|&k| rho[k as usize].abs() > 1e-12 * scale);
+                    self.ray_rows = Some(rows.collect());
+                    return Some(LpStatus::Infeasible);
+                }
+                return None;
+            };
+            let w = self.ftran(q);
+            if w[r].abs() < PIVOT_TOL {
+                return None;
+            }
+
+            // The passed breakpoints flip as one update of x_B.
+            if !flips.is_empty() {
+                let mut moved = vec![0.0; m];
+                for &j in &flips {
+                    let (status, x) = match self.status[j] {
+                        Status::AtLower => (Status::AtUpper, self.ub[j]),
+                        _ => (Status::AtLower, self.lb[j]),
+                    };
+                    let step = x - self.xn[j];
+                    for (row, coef) in self.col(j) {
+                        moved[row as usize] += coef * step;
+                    }
+                    self.status[j] = status;
+                    self.xn[j] = x;
+                }
+                for i in 0..m {
+                    let mut v = 0.0;
+                    for k in 0..m {
+                        v += self.binv[i * m + k] * moved[k];
+                    }
+                    self.xb[i] -= v;
+                }
+            }
+
+            // The entering variable moves the leaving row onto its bound.
+            let leaving = self.basis[r];
+            let target = if leaves_upper {
+                self.ub[leaving]
+            } else {
+                self.lb[leaving]
+            };
+            let step = (self.xb[r] - target) / w[r];
+            let dir = if step >= 0.0 { 1.0 } else { -1.0 };
+            if (dir > 0.0) != (self.status[q] == Status::AtLower) && step.abs() > EPS {
+                // Rounding turned the step against the entering
+                // variable's bound; let the primal loop sort it out.
+                return None;
+            }
+            if !self.apply_pivot(q, dir, step.abs(), &w, r, leaves_upper) {
+                return Some(LpStatus::IterationLimit);
+            }
+            fresh = self.pivots_since_refactor == 0;
+
+            let obj = self.current_objective();
+            if obj > best_obj + 1e-10 * 1.0_f64.max(obj.abs()) {
+                best_obj = obj;
+                stall = 0;
+            } else {
+                stall += 1;
+            }
+        }
+    }
+
+    /// The primal simplex, phase 1 then phase 2, from the current basis.
+    fn primal(&mut self, max_iterations: u64) -> LpStatus {
         loop {
             if self.iterations >= max_iterations {
                 return LpStatus::IterationLimit;
@@ -885,6 +1232,20 @@ impl Iterator for ColIter<'_> {
 
 /// Solve the LP relaxation of `form` under `bounds`.
 pub fn solve_lp(form: &StandardForm, bounds: &VarBounds, opts: &LpOptions) -> LpResult {
+    solve_lp_from(form, bounds, opts, None)
+}
+
+/// [`solve_lp`], warm-started from `warm`: the final basis of an earlier
+/// solve of `form` under bounds that contain `bounds`. The basis is
+/// loaded under `bounds`, refactorized and handed to the dual simplex;
+/// a basis that does not load (singular, or a variable at a bound that
+/// is now infinite) falls back to the cold start.
+pub fn solve_lp_from(
+    form: &StandardForm,
+    bounds: &VarBounds,
+    opts: &LpOptions,
+    warm: Option<&Basis>,
+) -> LpResult {
     // Degenerate case: no rows at all — every variable sits at its
     // objective-preferred bound.
     if form.m == 0 {
@@ -900,6 +1261,7 @@ pub fn solve_lp(form: &StandardForm, bounds: &VarBounds, opts: &LpOptions) -> Lp
                         status: LpStatus::Unbounded,
                         iterations: 0,
                         violated_rows: vec![],
+                        basis: None,
                     };
                 }
             } else if c < 0.0 {
@@ -910,6 +1272,7 @@ pub fn solve_lp(form: &StandardForm, bounds: &VarBounds, opts: &LpOptions) -> Lp
                         status: LpStatus::Unbounded,
                         iterations: 0,
                         violated_rows: vec![],
+                        basis: None,
                     };
                 }
             } else if l.is_finite() {
@@ -928,20 +1291,37 @@ pub fn solve_lp(form: &StandardForm, bounds: &VarBounds, opts: &LpOptions) -> Lp
             },
             iterations: 0,
             violated_rows: vec![],
+            basis: None,
         };
     }
 
     let mut s = Simplex::new(form, bounds, opts);
-    let status = s.solve(opts.max_iterations);
+    let dual = match warm {
+        Some(basis) if s.load(basis) => !s.status.contains(&Status::Free),
+        _ => {
+            if warm.is_some() {
+                s = Simplex::new(form, bounds, opts);
+            }
+            s.cost_preferred_start()
+        }
+    };
+    let settled = if dual {
+        s.dual(opts.max_iterations)
+    } else {
+        None
+    };
+    let status = settled.unwrap_or_else(|| s.primal(opts.max_iterations));
     let violated_rows = if status == LpStatus::Infeasible {
-        s.violated_rows()
+        s.ray_rows.take().unwrap_or_else(|| s.violated_rows())
     } else {
         vec![]
     };
+    let basis = matches!(status, LpStatus::Optimal { .. }).then(|| s.basis());
     LpResult {
         status,
         iterations: s.iterations,
         violated_rows,
+        basis,
     }
 }
 
@@ -1183,23 +1563,73 @@ mod tests {
         }
     }
 
-    /// Solve `model` with and without flip batching; both runs must
-    /// agree on the status and the iteration count.
-    fn solve_both_ways(model: &Model) -> LpResult {
+    #[test]
+    fn dual_ray_names_only_the_contradicting_rows() {
+        // Row 0 is violated at the start but feasible; rows 1 and 2
+        // contradict each other. The dual fixes row 0 (its violation is
+        // the largest), then row 1, and then finds no breakpoint for
+        // row 2: its ray combines rows 1 and 2 only.
+        let mut m = Model::new();
+        let v: Vec<_> = (0..4).map(|_| m.add_var(0.0, 1.0, 0.0)).collect();
+        m.add_ge(vec![(v[2], 1.0), (v[3], 1.0)], 1.8);
+        m.add_ge(vec![(v[0], 1.0), (v[1], 1.0)], 1.5);
+        m.add_le(vec![(v[0], 1.0), (v[1], 1.0)], 1.0);
+        let Presolved::Ready(form, bounds) = presolve(&m) else {
+            panic!("presolve cannot see the contradiction");
+        };
+        let r = solve_lp(&form, &bounds, &LpOptions::default());
+        assert_eq!(r.status, LpStatus::Infeasible);
+        assert_eq!(r.violated_rows, vec![1, 2]);
+        assert_eq!(r.iterations, 3);
+    }
+
+    #[test]
+    fn warm_basis_reaches_the_cold_optimum_under_tighter_bounds() {
+        // max Σ v_j x_j, Σ x_j ≤ 2.5, x ∈ [0, 1]: the LP takes the two
+        // best and half of the third. Tightening that one's upper bound
+        // to 0 is a branch-and-bound child; its warm solve must match a
+        // cold one.
+        let mut m = Model::new();
+        let v: Vec<_> = [5.0, 4.0, 3.0, 2.0]
+            .iter()
+            .map(|&c| m.add_var(0.0, 1.0, c))
+            .collect();
+        m.add_le(v.iter().map(|&x| (x, 1.0)).collect(), 2.5);
+        m.add_le(vec![(v[0], 1.0), (v[3], 1.0)], 5.0);
+        m.set_sense(Sense::Maximize);
+        let Presolved::Ready(form, mut bounds) = presolve(&m) else {
+            panic!("feasible model");
+        };
+        let opts = LpOptions::default();
+        let parent = solve_lp(&form, &bounds, &opts);
+        assert_eq!(assert_optimal(&parent.status, 10.5)[2], 0.5);
+        let basis = parent.basis.expect("an optimum keeps its basis");
+        assert_eq!(basis.bytes(), (4 + 2) + 4 * 2);
+        bounds.ub[2] = 0.0;
+        let warm = solve_lp_from(&form, &bounds, &opts, Some(&basis));
+        let cold = solve_lp(&form, &bounds, &opts);
+        assert_eq!(assert_optimal(&warm.status, 10.0), vec![1.0, 1.0, 0.0, 0.5]);
+        assert_eq!(warm.status, cold.status);
+        assert_eq!(warm.iterations, 1);
+    }
+
+    /// Run the primal loop alone on `model` from the slack basis, with
+    /// and without flip batching; both runs must agree on the status and
+    /// the iteration count. Returns the status and the count.
+    fn primal_both_ways(model: &Model) -> (LpStatus, u64) {
         let Presolved::Ready(form, bounds) = presolve(model) else {
             panic!("presolve proved the model infeasible");
         };
         let run = |flip_batching| {
             let opts = LpOptions {
-                max_iterations: 100_000,
                 flip_batching,
                 ..LpOptions::default()
             };
-            solve_lp(&form, &bounds, &opts)
+            let mut s = Simplex::new(&form, &bounds, &opts);
+            (s.primal(100_000), s.iterations)
         };
         let (batched, unbatched) = (run(true), run(false));
-        assert_eq!(batched.status, unbatched.status);
-        assert_eq!(batched.iterations, unbatched.iterations);
+        assert_eq!(batched, unbatched);
         batched
     }
 
@@ -1217,9 +1647,9 @@ mod tests {
         let x3 = m.add_var(0.0, 1.0, 1.0);
         m.add_ge(vec![(x1, 1.0), (x2, 1.0), (x3, 1.0)], 2.0 + 5e-8);
         m.set_sense(Sense::Minimize);
-        let r = solve_both_ways(&m);
-        assert_eq!(r.iterations, 2);
-        assert_eq!(assert_optimal(&r.status, -2.0), vec![1.0, 1.0, 0.0]);
+        let (status, iterations) = primal_both_ways(&m);
+        assert_eq!(iterations, 2);
+        assert_eq!(assert_optimal(&status, -2.0), vec![1.0, 1.0, 0.0]);
     }
 
     /// The variables at their upper bound after `moves` moves.
@@ -1234,7 +1664,7 @@ mod tests {
             ..LpOptions::default()
         };
         let mut s = Simplex::new(form, bounds, &opts);
-        assert_eq!(s.solve(moves), LpStatus::IterationLimit);
+        assert_eq!(s.primal(moves), LpStatus::IterationLimit);
         (0..form.n)
             .filter(|&j| s.status[j] == Status::AtUpper)
             .collect()
@@ -1250,12 +1680,12 @@ mod tests {
         // baseline and the next STALL_LIMIT moves stall, after which
         // Bland's rule must take over and flip index 0.
         let n = 400;
+        let coef = |j: usize| 1e-5 * (1.0 + j as f64 / 1000.0);
         let form = StandardForm {
             n,
             m: 1,
-            cols: (0..n)
-                .map(|j| vec![(0, 1e-5 * (1.0 + j as f64 / 1000.0))])
-                .collect(),
+            cols: (0..n).map(|j| vec![(0, coef(j))]).collect(),
+            rows: vec![(0..n).map(|j| (j as u32, coef(j))).collect()],
             obj_min: vec![0.0; n],
             row_lo: vec![1.0],
             row_hi: vec![f64::INFINITY],

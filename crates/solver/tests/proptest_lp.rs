@@ -1,7 +1,10 @@
 //! Property-based tests for the solver: random LPs and MILPs checked
 //! against first principles (feasibility of reported solutions, weak
 //! duality via the relaxation, agreement with exhaustive search), and
-//! random LPs checked move for move against the re-scan pricing loop.
+//! random LPs checked against the primal simplex with a re-scan after
+//! every move: move for move where the solver runs its primal loop
+//! alone, and on status, objective and feasibility where it runs the
+//! dual simplex first.
 
 mod rescan;
 
@@ -72,8 +75,10 @@ impl Stream {
 /// range and equality rows around a random interior point so that the
 /// all-at-lower start violates several rows at once (multi-row phase
 /// 1), and now and then a row placed at random, which may make the LP
-/// infeasible.
-fn seeded_lp(seed: u64) -> Model {
+/// infeasible. With `all_boxed` every variable is boxed, so every
+/// cost-preferred bound is finite and the solve starts with the dual
+/// simplex; the random stream is the same either way.
+fn seeded_lp(seed: u64, all_boxed: bool) -> Model {
     let mut r = Stream(seed | 1);
     let n = 3 + r.below(48) as usize;
     let rows = 1 + r.below(5) as usize;
@@ -83,8 +88,8 @@ fn seeded_lp(seed: u64) -> Model {
         .map(|_| {
             let c = r.int(-5, 5);
             let (lb, ub) = match r.below(25) {
-                0 => (f64::NEG_INFINITY, f64::INFINITY),
-                1 => (r.int(-2, 0), f64::INFINITY),
+                0 if !all_boxed => (f64::NEG_INFINITY, f64::INFINITY),
+                1 if !all_boxed => (r.int(-2, 0), f64::INFINITY),
                 _ => {
                     let lb = r.int(-2, 1);
                     (lb, lb + r.int(1, 3))
@@ -146,31 +151,79 @@ fn status_bits(status: &LpStatus) -> (u8, Vec<u64>) {
     }
 }
 
+/// Solve `model` with and without flip batching and compare with the
+/// re-scan reference. When some structural's cost-preferred bound
+/// (lower if `c_j ≥ 0`, upper otherwise) is infinite the solver runs its
+/// primal loop alone, which must take the reference's exact path: same
+/// status, solution bits and iteration count. Otherwise it runs the dual
+/// simplex first and must reach the same status and, on an optimum, the
+/// same objective within 1e-9 relative at a feasible point.
+fn agrees_with_rescan(model: &Model) -> Result<(), TestCaseError> {
+    let Presolved::Ready(form, bounds) = presolve(model) else {
+        return Ok(());
+    };
+    if form.m == 0 {
+        return Ok(());
+    }
+    let primal_only = (0..form.n).any(|j| {
+        let preferred = if form.obj_min[j] >= 0.0 {
+            bounds.lb[j]
+        } else {
+            bounds.ub[j]
+        };
+        !preferred.is_finite()
+    });
+    for flip_batching in [true, false] {
+        let opts = LpOptions {
+            max_iterations: 100_000,
+            flip_batching,
+            ..LpOptions::default()
+        };
+        let got = solve_lp(&form, &bounds, &opts);
+        let (want, want_iterations) = rescan::solve(&form, &bounds, &opts);
+        if primal_only {
+            prop_assert_eq!(status_bits(&got.status), status_bits(&want));
+            prop_assert_eq!(got.iterations, want_iterations);
+            continue;
+        }
+        prop_assert_eq!(status_bits(&got.status).0, status_bits(&want).0);
+        if let (
+            LpStatus::Optimal { x, objective },
+            LpStatus::Optimal {
+                objective: reference,
+                ..
+            },
+        ) = (&got.status, &want)
+        {
+            prop_assert!(
+                (objective - reference).abs() <= 1e-9 * reference.abs().max(1.0),
+                "objective {} against the reference {}",
+                objective,
+                reference
+            );
+            let violation = model.check_feasible(x, 1e-6);
+            prop_assert!(violation.is_none(), "{:?}", violation);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Pricing once per dual vector takes exactly the path of a full
-    /// re-scan after every move: same status, same solution bits, same
-    /// iteration count, with and without flip batching.
+    /// The solver agrees with the re-scan reference on seeded LPs, most
+    /// of which have a free or half-bounded variable and so run the
+    /// primal loop alone.
     #[test]
     fn one_pass_pricing_keeps_the_rescan_path(seed in 0u64..u64::MAX) {
-        let Presolved::Ready(form, bounds) = presolve(&seeded_lp(seed)) else {
-            return Ok(());
-        };
-        if form.m == 0 {
-            return Ok(());
-        }
-        for flip_batching in [true, false] {
-            let opts = LpOptions {
-                max_iterations: 100_000,
-                flip_batching,
-                ..LpOptions::default()
-            };
-            let got = solve_lp(&form, &bounds, &opts);
-            let (want, want_iterations) = rescan::solve(&form, &bounds, &opts);
-            prop_assert_eq!(status_bits(&got.status), status_bits(&want));
-            prop_assert_eq!(got.iterations, want_iterations);
-        }
+        agrees_with_rescan(&seeded_lp(seed, false))?;
+    }
+
+    /// The same on all-boxed LPs, every one of which runs the dual
+    /// simplex first.
+    #[test]
+    fn dual_start_agrees_with_the_rescan_path(seed in 0u64..u64::MAX) {
+        agrees_with_rescan(&seeded_lp(seed, true))?;
     }
 
     /// Any reported LP/MILP solution must actually satisfy the model,

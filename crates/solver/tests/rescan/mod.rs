@@ -2,10 +2,13 @@
 //! dual vector: a full pricing scan after every move, and in phase 1 a
 //! fresh set of phase-1 costs and duals after every bound flip.
 //!
-//! Kept only as the reference the property tests compare the solver's
-//! status, solution bits and iteration counts against. The rest of this
-//! file (ratio test, pivot, refactorization) is the same arithmetic as
-//! the solver's, so any difference the tests find comes from the pricing.
+//! Kept only as the reference the property tests compare the solver
+//! against: its status, solution bits and iteration counts where the
+//! solver runs its primal loop alone, its status and objective where the
+//! solver starts with the dual simplex. The rest of this file (ratio
+//! test, pivot, refactorization) is the same arithmetic as the solver's
+//! primal loop, so any difference on the primal path comes from the
+//! pricing.
 
 // Dense numeric kernels: indexed loops mirror the textbook algebra and
 // often touch several parallel arrays at once.
